@@ -336,10 +336,11 @@ SeaweedMessagePtr CodecBenchMessage(SeaweedMessage::Kind kind) {
       msg->result = CodecBenchResult();
       break;
     case SeaweedMessage::Kind::kVertexReplicate:
+      msg->replicas.push_back({NodeId(7, 7), {}});
       for (int i = 0; i < 4; ++i) {
-        msg->vertex_state.emplace_back(NodeId(7, static_cast<uint64_t>(i)),
-                                       static_cast<uint64_t>(i),
-                                       CodecBenchResult());
+        msg->replicas[0].entries.push_back(
+            {NodeId(7, static_cast<uint64_t>(i)), static_cast<uint64_t>(i),
+             std::make_shared<const db::AggregateResult>(CodecBenchResult())});
       }
       break;
     case SeaweedMessage::Kind::kResultAck:

@@ -1,6 +1,8 @@
 #include "db/query_exec.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 #include "common/logging.h"
 
@@ -13,6 +15,63 @@ namespace {
 // the Value-keyed path to bound memory (dict_size * arity * sizeof(AggState)
 // at 64k is a few MiB worst case).
 constexpr size_t kDenseGroupMaxDict = size_t{1} << 16;
+
+// Compact exact-quad encoding (AggState::Encode). The flag byte holds two
+// bits per double field, in the order sum, min, max: "present" (the field
+// differs bit for bit from its default) and "raw" (written as 8 raw bytes
+// rather than a zigzag varint).
+constexpr uint8_t kQuadFieldMask = 3;
+constexpr uint8_t kFieldPresent = 1;
+constexpr uint8_t kFieldRaw = 2;
+
+uint64_t Zigzag(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+int64_t Unzigzag(uint64_t v) {
+  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
+}
+
+// True when `v` round-trips exactly through int64: false for -0.0, NaN,
+// ±inf, non-integral values and integers outside [-2^63, 2^63).
+bool IsExactInt64(double v) {
+  // In this range the cast to int64 truncates without UB.
+  if (!(v >= -9223372036854775808.0 && v < 9223372036854775808.0)) {
+    return false;
+  }
+  return static_cast<double>(static_cast<int64_t>(v)) == v &&
+         !(v == 0 && std::signbit(v));
+}
+
+// Flag bits of quad field `index` holding `v`: none when `v` equals `def`
+// bit for bit (the field is omitted), else present, plus raw unless `v`
+// round-trips through a zigzag varint.
+uint8_t QuadFieldFlags(int index, double v, double def) {
+  if (std::bit_cast<uint64_t>(v) == std::bit_cast<uint64_t>(def)) return 0;
+  const uint8_t f =
+      IsExactInt64(v) ? kFieldPresent : (kFieldPresent | kFieldRaw);
+  return static_cast<uint8_t>(f << (2 * index));
+}
+
+void PutQuadField(Writer& w, uint8_t flags, int index, double v) {
+  const uint8_t f = (flags >> (2 * index)) & kQuadFieldMask;
+  if (f == 0) return;
+  if (f & kFieldRaw) {
+    w.PutDouble(v);
+  } else {
+    w.PutVarint(Zigzag(static_cast<int64_t>(v)));
+  }
+}
+
+Result<double> GetQuadField(Reader& r, uint8_t flags, int index,
+                            double def) {
+  const uint8_t f = (flags >> (2 * index)) & kQuadFieldMask;
+  if (f == 0) return def;
+  if (f == kFieldRaw) return Status::ParseError("raw bit on absent field");
+  if (f & kFieldRaw) return r.GetDouble();
+  SEAWEED_ASSIGN_OR_RETURN(uint64_t z, r.GetVarint());
+  return static_cast<double>(Unzigzag(z));
+}
 
 }  // namespace
 
@@ -359,21 +418,32 @@ bool AggState::operator==(const AggState& other) const {
 void AggState::Encode(Writer& w) const {
   // Tag byte first: 0 = exact quad only, nonzero = a sketch payload of
   // that type follows the quad (see db/sketch.h for the tag registry).
+  // Then the flag byte, count as a zigzag varint, and whichever of sum,
+  // min and max differ from their defaults (see QuadFieldFlags).
   w.PutU8(sketch ? sketch->tag() : kStateTagExact);
-  w.PutDouble(sum);
-  w.PutI64(count);
-  w.PutDouble(min);
-  w.PutDouble(max);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const uint8_t flags = QuadFieldFlags(0, sum, 0.0) |
+                        QuadFieldFlags(1, min, kInf) |
+                        QuadFieldFlags(2, max, -kInf);
+  w.PutU8(flags);
+  w.PutVarint(Zigzag(count));
+  PutQuadField(w, flags, 0, sum);
+  PutQuadField(w, flags, 1, min);
+  PutQuadField(w, flags, 2, max);
   if (sketch) sketch->Encode(w);
 }
 
 Result<AggState> AggState::Decode(Reader& r) {
   AggState s;
   SEAWEED_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
-  SEAWEED_ASSIGN_OR_RETURN(s.sum, r.GetDouble());
-  SEAWEED_ASSIGN_OR_RETURN(s.count, r.GetI64());
-  SEAWEED_ASSIGN_OR_RETURN(s.min, r.GetDouble());
-  SEAWEED_ASSIGN_OR_RETURN(s.max, r.GetDouble());
+  SEAWEED_ASSIGN_OR_RETURN(uint8_t flags, r.GetU8());
+  if (flags >> 6) return Status::ParseError("bad aggregate state flags");
+  SEAWEED_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
+  s.count = Unzigzag(count);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  SEAWEED_ASSIGN_OR_RETURN(s.sum, GetQuadField(r, flags, 0, 0.0));
+  SEAWEED_ASSIGN_OR_RETURN(s.min, GetQuadField(r, flags, 1, kInf));
+  SEAWEED_ASSIGN_OR_RETURN(s.max, GetQuadField(r, flags, 2, -kInf));
   if (tag != kStateTagExact) {
     SEAWEED_ASSIGN_OR_RETURN(s.sketch, DecodeSketchState(tag, r));
   }

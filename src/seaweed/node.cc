@@ -44,6 +44,10 @@ SeaweedNode::SeaweedNode(overlay::OverlayNetwork* overlay,
       reg->GetCounter("seaweed.vertex_repropagations");
   metrics_.vertex_fn_invocations =
       reg->GetCounter("seaweed.vertex_fn_invocations");
+  metrics_.fold_passes = reg->GetCounter("seaweed.fold_passes");
+  metrics_.fold_vertices = reg->GetCounter("seaweed.fold_vertices");
+  metrics_.replicate_msgs = reg->GetCounter("seaweed.replicate_msgs");
+  metrics_.replicate_bytes = reg->GetCounter("seaweed.replicate_bytes");
   metrics_.leaf_retries = reg->GetCounter("seaweed.leaf_retries");
   metrics_.leaf_giveups = reg->GetCounter("seaweed.leaf_giveups");
   metrics_.vertex_retries = reg->GetCounter("seaweed.vertex_retries");
@@ -677,7 +681,8 @@ void SeaweedNode::FinishLeafExecution(const NodeId& query_id,
   if (it == active_.end()) return;
   ActiveQuery& aq = it->second;
   if (aq.query.ExpiredAt(sim()->Now())) return;
-  aq.leaf.result = std::move(result);
+  aq.leaf.result =
+      std::make_shared<const db::AggregateResult>(std::move(result));
   aq.leaf.version = sim()->Now() > 0 ? static_cast<uint64_t>(sim()->Now()) : 1;
   aq.leaf.acked = false;
   SubmitLeafResult(query_id);
@@ -1263,6 +1268,7 @@ void SeaweedNode::SubmitLeafResult(const NodeId& query_id) {
   if (it == active_.end()) return;
   ActiveQuery& aq = it->second;
   if (aq.query.sql.empty() || aq.query.ExpiredAt(sim()->Now())) return;
+  if (aq.leaf.result == nullptr) return;  // not executed yet
 
   NodeId vertex;
   auto persisted = persisted_leaf_vertex_.find(query_id);
@@ -1280,18 +1286,18 @@ void SeaweedNode::SubmitLeafResult(const NodeId& query_id) {
   msg->vertex_id = vertex;
   msg->child_key = id();
   msg->version = aq.leaf.version;
-  msg->result = aq.leaf.result;
-  if (aq.leaf.result.HasSketchStates()) {
+  if (aq.leaf.result->HasSketchStates()) {
     metrics_.sketch_results->Add();
-    metrics_.sketch_state_bytes->Add(aq.leaf.result.SketchStateBytes());
+    metrics_.sketch_state_bytes->Add(aq.leaf.result->SketchStateBytes());
   }
   if (IsLikelyRootFor(vertex)) {
     // We are (or believe we are) the vertex primary: fold locally. If the
     // view is wrong, HandleResultSubmit hands the submission over under the
     // same vertexId, so the tree shape is unaffected either way.
-    HandleResultSubmit(pastry_->handle(), msg);
+    HandleResultSubmit(pastry_->handle(), msg, aq.leaf.result);
     aq.leaf.acked = true;
   } else {
+    msg->result = *aq.leaf.result;
     RouteSeaweed(vertex, msg, TrafficCategory::kResult);
     ChargeQueryTx(aq, msg->WireBytes());
     uint64_t gen = generation_;
@@ -1344,7 +1350,7 @@ void SeaweedNode::RetryLeafSubmit(const NodeId& query_id, uint64_t version) {
   msg->vertex_id = aq.leaf.vertex_id;
   msg->child_key = id();
   msg->version = aq.leaf.version;
-  msg->result = aq.leaf.result;
+  msg->result = *aq.leaf.result;
   RouteSeaweed(aq.leaf.vertex_id, msg, TrafficCategory::kResult);
   ChargeQueryTx(aq, msg->WireBytes());
   uint64_t gen = generation_;
@@ -1357,17 +1363,19 @@ void SeaweedNode::RetryLeafSubmit(const NodeId& query_id, uint64_t version) {
   });
 }
 
-db::AggregateResult SeaweedNode::MergedVertexResult(
+SeaweedNode::ResultPtr SeaweedNode::MergedVertexResult(
     const VertexState& state) const {
-  db::AggregateResult merged;
+  if (state.children.size() == 1) return state.children.begin()->second.second;
+  auto merged = std::make_shared<db::AggregateResult>();
   for (const auto& [key, entry] : state.children) {
-    merged.Merge(entry.second);
+    merged->Merge(*entry.second);
   }
   return merged;
 }
 
 void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
-                                     const SeaweedMessagePtr& msg) {
+                                     const SeaweedMessagePtr& msg,
+                                     ResultPtr shared) {
   const NodeId& vertex = msg->vertex_id;
   // If our view says someone else is closer to the vertexId, hand it over —
   // unless we already forwarded this exact submission moments ago. A repeat
@@ -1386,6 +1394,7 @@ void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
           now - seen->second > config_.handover_loop_window) {
         recent_handovers_[key] = now;
         metrics_.vertex_handovers->Add();
+        if (shared != nullptr) msg->result = *shared;  // leaves the node
         SendSeaweed(*closer, msg, TrafficCategory::kResult);
         return;
       }
@@ -1407,7 +1416,10 @@ void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
   auto child = state.children.find(msg->child_key);
   bool updated = false;
   if (child == state.children.end() || child->second.first < msg->version) {
-    state.children[msg->child_key] = {msg->version, msg->result};
+    if (shared == nullptr) {
+      shared = std::make_shared<const db::AggregateResult>(msg->result);
+    }
+    state.children[msg->child_key] = {msg->version, std::move(shared)};
     updated = true;
     metrics_.vertex_updates->Add();
   } else {
@@ -1426,18 +1438,59 @@ void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
   }
   if (!updated) return;
 
+  // Inside a fold pass the replication joins the pass's per-backup
+  // messages; a submit outside one replicates before it returns.
   ReplicateVertex(aq, vertex, msg->child_key);
-
-  if (!state.send_scheduled) {
-    state.send_scheduled = true;
-    uint64_t gen = generation_;
-    NodeId qid = msg->query_id;
-    sim()->After(config_.result_deliver_debounce, [this, gen, qid, vertex] {
-      if (gen != generation_) return;
-      PropagateVertex(qid, vertex);
-    });
-  }
+  if (!aq.folding) FlushReplicates(aq);
+  MarkVertexDirty(aq, vertex);
   ScheduleVertexRepropagation(msg->query_id, vertex);
+}
+
+void SeaweedNode::MarkVertexDirty(ActiveQuery& aq, const NodeId& vertex_id) {
+  VertexState& state = aq.vertices[vertex_id];
+  if (state.dirty) return;
+  state.dirty = true;
+  const NodeId& qid = aq.query.query_id;
+  aq.fold_queue.emplace_back(
+      vertex_id.CommonPrefixLength(qid, pastry_->config().b), vertex_id);
+  std::push_heap(aq.fold_queue.begin(), aq.fold_queue.end(), std::greater<>());
+  if (aq.fold_scheduled || aq.folding) return;
+  aq.fold_scheduled = true;
+  uint64_t gen = generation_;
+  sim()->After(config_.result_deliver_debounce, [this, gen, qid] {
+    if (gen != generation_) return;
+    RunFoldPass(qid);
+  });
+}
+
+void SeaweedNode::RunFoldPass(const NodeId& query_id) {
+  auto it = active_.find(query_id);
+  if (it == active_.end()) return;
+  ActiveQuery& aq = it->second;
+  aq.fold_scheduled = false;
+  if (aq.fold_queue.empty()) return;
+  metrics_.fold_passes->Add();
+  aq.folding = true;
+  bool root_dirty = false;
+  while (!aq.fold_queue.empty()) {
+    std::pop_heap(aq.fold_queue.begin(), aq.fold_queue.end(),
+                  std::greater<>());
+    const NodeId vertex = aq.fold_queue.back().second;
+    aq.fold_queue.pop_back();
+    aq.vertices[vertex].dirty = false;
+    metrics_.fold_vertices->Add();
+    if (vertex == query_id) {
+      // The root sorts last: nothing is left to fold into it.
+      root_dirty = true;
+      break;
+    }
+    PropagateVertex(query_id, vertex);
+  }
+  aq.folding = false;
+  FlushReplicates(aq);
+  // Last, because delivery may run the origin's observer, which can end the
+  // query and erase `aq`.
+  if (root_dirty) PropagateVertex(query_id, query_id);
 }
 
 void SeaweedNode::ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
@@ -1452,39 +1505,49 @@ void SeaweedNode::ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
   // the full state, otherwise it would reconstruct a partial subtree after
   // primary failover.
   std::vector<NodeHandle> members = pastry_->leafset().All();
-  std::sort(members.begin(), members.end(),
-            [&vertex_id](const NodeHandle& a, const NodeHandle& b) {
-              return a.id.RingDistanceTo(vertex_id) <
-                     b.id.RingDistanceTo(vertex_id);
-            });
-  int m = std::min<int>(config_.vertex_backups,
-                        static_cast<int>(members.size()));
-
-  auto delta = std::make_shared<SeaweedMessage>();
-  delta->kind = SeaweedMessage::Kind::kVertexReplicate;
-  delta->query_id = aq.query.query_id;
-  delta->vertex_id = vertex_id;
-  delta->vertex_state.emplace_back(changed_child, child->second.first,
-                                   child->second.second);
-  SeaweedMessagePtr full;  // built lazily
-  for (int i = 0; i < m; ++i) {
+  const auto m = static_cast<std::ptrdiff_t>(std::min<size_t>(
+      static_cast<size_t>(config_.vertex_backups), members.size()));
+  std::partial_sort(members.begin(), members.begin() + m, members.end(),
+                    [&vertex_id](const NodeHandle& a, const NodeHandle& b) {
+                      return a.id.RingDistanceTo(vertex_id) <
+                             b.id.RingDistanceTo(vertex_id);
+                    });
+  for (std::ptrdiff_t i = 0; i < m; ++i) {
     const NodeHandle& backup = members[static_cast<size_t>(i)];
+    auto out = std::find_if(aq.replicates.begin(), aq.replicates.end(),
+                            [&backup](const PendingReplicate& p) {
+                              return p.backup.id == backup.id;
+                            });
+    if (out == aq.replicates.end()) {
+      auto msg = std::make_shared<SeaweedMessage>();
+      msg->kind = SeaweedMessage::Kind::kVertexReplicate;
+      msg->query_id = aq.query.query_id;
+      aq.replicates.push_back({backup, std::move(msg), {}});
+      out = aq.replicates.end() - 1;
+    }
+    auto& replicas = out->msg->replicas;
+    auto [slot, fresh] = out->index.emplace(vertex_id, replicas.size());
+    if (fresh) replicas.push_back({vertex_id, {}});
+    auto& entries = replicas[slot->second].entries;
     if (state.synced_backups.count(backup.id)) {
-      SendSeaweed(backup, delta, TrafficCategory::kResult);
+      entries.push_back({changed_child, child->second.first,
+                         child->second.second});
       continue;
     }
-    if (!full) {
-      full = std::make_shared<SeaweedMessage>();
-      full->kind = SeaweedMessage::Kind::kVertexReplicate;
-      full->query_id = aq.query.query_id;
-      full->vertex_id = vertex_id;
-      for (const auto& [key, entry] : state.children) {
-        full->vertex_state.emplace_back(key, entry.first, entry.second);
-      }
+    for (const auto& [key, entry] : state.children) {
+      entries.push_back({key, entry.first, entry.second});
     }
-    SendSeaweed(backup, full, TrafficCategory::kResult);
     state.synced_backups.insert(backup.id);
   }
+}
+
+void SeaweedNode::FlushReplicates(ActiveQuery& aq) {
+  for (const PendingReplicate& out : aq.replicates) {
+    metrics_.replicate_msgs->Add();
+    metrics_.replicate_bytes->Add(out.msg->WireBytes());
+    SendSeaweed(out.backup, out.msg, TrafficCategory::kResult);
+  }
+  aq.replicates.clear();
 }
 
 void SeaweedNode::ScheduleVertexRepropagation(const NodeId& query_id,
@@ -1520,21 +1583,31 @@ void SeaweedNode::PropagateVertex(const NodeId& query_id,
   auto vit = aq.vertices.find(vertex_id);
   if (vit == aq.vertices.end()) return;
   VertexState& state = vit->second;
-  state.send_scheduled = false;
-  db::AggregateResult merged = MergedVertexResult(state);
-  if (merged.HasSketchStates()) {
+  ResultPtr merged = MergedVertexResult(state);
+  if (merged->HasSketchStates()) {
     metrics_.sketch_merges->Add();
-    metrics_.sketch_state_bytes->Add(merged.SketchStateBytes());
+    metrics_.sketch_state_bytes->Add(merged->SketchStateBytes());
   }
+  const bool root = vertex_id == query_id;
+  const int b = pastry_->config().b;
+  const int depth = vertex_id.CommonPrefixLength(query_id, b);
+  // Always the immediate parent — see LeafParentVertex for why the tree
+  // shape must not depend on the local ring view. When we are primary for
+  // the parent too, the fold stays local and, inside a fold pass, joins the
+  // same pass.
+  const NodeId parent = root ? NodeId() : VertexParent(query_id, vertex_id, b);
+  const bool local_parent = !root && IsLikelyRootFor(parent);
   obs::SpanId span = tracer_->StartSpan(
       "aggregation_round", obs::TraceKey(query_id), sim()->Now());
   tracer_->AddAttr(span, "node", static_cast<int64_t>(index()));
   tracer_->AddAttr(span, "vertex_children",
                    static_cast<int64_t>(state.children.size()));
-  tracer_->AddAttr(span, "root", vertex_id == query_id ? 1 : 0);
+  tracer_->AddAttr(span, "root", root ? 1 : 0);
+  tracer_->AddAttr(span, "depth", static_cast<int64_t>(depth));
+  tracer_->AddAttr(span, "local", local_parent && aq.folding ? 1 : 0);
   tracer_->EndSpan(span, sim()->Now());
 
-  if (vertex_id == query_id) {
+  if (root) {
     // Root vertex: deliver the incremental result to the query origin.
     if (aq.is_origin && aq.observer.on_result) {
       if (aq.result_span != obs::kNoSpan) {
@@ -1543,7 +1616,7 @@ void SeaweedNode::PropagateVertex(const NodeId& query_id,
             sim()->Now() - aq.query.injected_at));
         aq.result_span = obs::kNoSpan;
       }
-      aq.observer.on_result(query_id, merged);
+      aq.observer.on_result(query_id, *merged);
       return;
     }
     if (aq.query.origin.id != NodeId()) {
@@ -1551,34 +1624,41 @@ void SeaweedNode::PropagateVertex(const NodeId& query_id,
       msg->kind = SeaweedMessage::Kind::kResultDeliver;
       msg->query_id = query_id;
       msg->vertex_id = vertex_id;
-      msg->result = merged;
+      msg->result = *merged;
       SendSeaweed(aq.query.origin, msg, TrafficCategory::kResult);
       ChargeQueryTx(aq, msg->WireBytes());
     }
     return;
   }
 
-  const int b = pastry_->config().b;
   metrics_.vertex_fn_invocations->Add();
-  // Always the immediate parent — see LeafParentVertex for why the tree
-  // shape must not depend on the local ring view. When we are primary for
-  // the parent too, the fold below stays local, which is exactly the
-  // traffic the old id-skipping shortcut saved.
-  NodeId parent = VertexParent(query_id, vertex_id, b);
+  if (local_parent) {
+    // A backup that took over this vertex and its parent holds the parent's
+    // entry for it, replicated at the old primary's version, while its own
+    // counter restarts at 0. Continue past that version so the fold is not
+    // dropped as a replay.
+    auto pit = aq.vertices.find(parent);
+    if (pit != aq.vertices.end()) {
+      auto entry = pit->second.children.find(vertex_id);
+      if (entry != pit->second.children.end()) {
+        state.version = std::max(state.version, entry->second.first);
+      }
+    }
+  }
   auto msg = std::make_shared<SeaweedMessage>();
   msg->kind = SeaweedMessage::Kind::kResultSubmit;
   msg->query_id = query_id;
   msg->vertex_id = parent;
   msg->child_key = vertex_id;
   msg->version = ++state.version;
-  msg->result = merged;
-  if (IsLikelyRootFor(parent)) {
+  if (local_parent) {
     state.pending_version = 0;
     state.submit_tries = 0;
-    HandleResultSubmit(pastry_->handle(), msg);
+    HandleResultSubmit(pastry_->handle(), msg, std::move(merged));
   } else {
     // Track the submit until the parent acks it; retries re-propagate with
     // a fresh version, so dedup at the parent keeps them exactly-once.
+    msg->result = *merged;
     ++state.submit_tries;
     state.pending_version = msg->version;
     RouteSeaweed(parent, msg, TrafficCategory::kResult);
@@ -1698,11 +1778,13 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
         active_[msg->query_id] = std::move(aq);
         it = active_.find(msg->query_id);
       }
-      VertexState& state = it->second.vertices[msg->vertex_id];
-      for (const auto& [child_key, version, result] : msg->vertex_state) {
-        auto c = state.children.find(child_key);
-        if (c == state.children.end() || c->second.first < version) {
-          state.children[child_key] = {version, result};
+      for (const auto& replica : msg->replicas) {
+        VertexState& state = it->second.vertices[replica.vertex_id];
+        for (const auto& e : replica.entries) {
+          auto c = state.children.find(e.child);
+          if (c == state.children.end() || c->second.first < e.version) {
+            state.children[e.child] = {e.version, e.result};
+          }
         }
       }
       break;

@@ -76,6 +76,11 @@ struct SeaweedConfig {
   // bouncing forever.
   SimDuration handover_loop_window = 5 * kSecond;
   SimDuration result_refresh_period = 15 * kMinute;
+  // Delay before a query's fold pass on this node: the first vertex update
+  // arms it, and updates arriving meanwhile join the same pass. The pass
+  // folds every dirty vertex, and the locally owned ancestors they feed, in
+  // one step, so a result pays this once per network hop, not once per
+  // vertex level.
   SimDuration result_deliver_debounce = 2 * kSecond;
   SimDuration query_sweep_period = 10 * kMinute;
   // Views included in every metadata push (empty = none).
@@ -203,10 +208,15 @@ class SeaweedNode : public overlay::PastryApp {
     bool finished = false;
   };
 
+  // Results in the vertex tree are immutable and shared: a single-child
+  // vertex's merged result is its child's pointer, so a chain of locally
+  // folded vertices holds one copy. Copies are made only at the wire edge.
+  using ResultPtr = std::shared_ptr<const db::AggregateResult>;
+
   struct VertexState {
-    std::map<NodeId, std::pair<uint64_t, db::AggregateResult>> children;
+    std::map<NodeId, std::pair<uint64_t, ResultPtr>> children;
     uint64_t version = 0;         // our version as a child of our parent
-    bool send_scheduled = false;
+    bool dirty = false;           // queued for the query's next fold pass
     // Backups known to hold this vertex's full state; others get a full
     // sync before deltas (a delta-only backup would reconstruct a partial
     // subtree after primary failover).
@@ -222,15 +232,31 @@ class SeaweedNode : public overlay::PastryApp {
   struct PendingSubmit {
     NodeId vertex_id;
     uint64_t version = 0;
-    db::AggregateResult result;
+    ResultPtr result;
     bool acked = false;
     int tries = 0;
+  };
+
+  // One kVertexReplicate being collected for a backup during a fold pass;
+  // `index` maps a vertex to its slot in msg->replicas.
+  struct PendingReplicate {
+    overlay::NodeHandle backup;
+    SeaweedMessagePtr msg;
+    std::map<NodeId, size_t> index;
   };
 
   struct ActiveQuery {
     Query query;
     std::map<std::string, RangeTask> tasks;
     std::map<NodeId, VertexState> vertices;
+    // Fold pass state: dirty vertices as a min-heap on (common-prefix length
+    // with the queryId, vertexId), so a pass folds the deepest first and
+    // the root last; whether the pass timer is armed or the pass running;
+    // and the replication it has collected, one message per backup.
+    std::vector<std::pair<int, NodeId>> fold_queue;
+    bool fold_scheduled = false;
+    bool folding = false;
+    std::vector<PendingReplicate> replicates;
     PendingSubmit leaf;           // our own contribution
     bool executed = false;
     // Origin-side state (only on the injecting endsystem).
@@ -323,8 +349,18 @@ class SeaweedNode : public overlay::PastryApp {
   bool IsLikelyRootFor(const NodeId& key) const;
   void SubmitLeafResult(const NodeId& query_id);
   void RetryLeafSubmit(const NodeId& query_id, uint64_t version);
+  // Applies a child's submission to the vertex. A local submit passes its
+  // result as `shared` (msg->result unset); a remote one carries it in msg.
   void HandleResultSubmit(const overlay::NodeHandle& from,
-                          const SeaweedMessagePtr& msg);
+                          const SeaweedMessagePtr& msg,
+                          ResultPtr shared = nullptr);
+  // Queues the vertex for the query's fold pass, arming the pass timer
+  // unless a pass is armed or running.
+  void MarkVertexDirty(ActiveQuery& aq, const NodeId& vertex_id);
+  // Folds the dirty vertices deepest first; a fold into a locally owned
+  // parent marks it dirty in the same pass. Sends the collected replication
+  // before delivering the root's result.
+  void RunFoldPass(const NodeId& query_id);
   void PropagateVertex(const NodeId& query_id, const NodeId& vertex_id);
   // Arms the ack timeout for an interior submit of `version`; on expiry the
   // vertex re-propagates (with a fresh version) up to max_result_retries
@@ -335,9 +371,12 @@ class SeaweedNode : public overlay::PastryApp {
   // primary failover anywhere above us within one refresh period.
   void ScheduleVertexRepropagation(const NodeId& query_id,
                                    const NodeId& vertex_id);
+  // Adds the vertex's changed child (or, for a backup not yet synced, its
+  // full state) to each backup's pending kVertexReplicate.
   void ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
                        const NodeId& changed_child);
-  db::AggregateResult MergedVertexResult(const VertexState& state) const;
+  void FlushReplicates(ActiveQuery& aq);
+  ResultPtr MergedVertexResult(const VertexState& state) const;
 
   // --- Query lifecycle ---
   void HandleQueryListRequest(const overlay::NodeHandle& from);
@@ -372,6 +411,10 @@ class SeaweedNode : public overlay::PastryApp {
     obs::Counter* vertex_handovers;
     obs::Counter* vertex_repropagations;
     obs::Counter* vertex_fn_invocations;
+    obs::Counter* fold_passes;
+    obs::Counter* fold_vertices;
+    obs::Counter* replicate_msgs;
+    obs::Counter* replicate_bytes;
     obs::Counter* leaf_retries;
     obs::Counter* leaf_giveups;
     obs::Counter* vertex_retries;

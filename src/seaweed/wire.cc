@@ -1,6 +1,7 @@
 #include "seaweed/wire.h"
 
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 namespace seaweed {
@@ -54,16 +55,25 @@ void SeaweedMessage::EncodeBody(Writer& w) const {
       w.PutNodeId(child_key);
       w.PutU64(version);
       break;
-    case Kind::kVertexReplicate:
+    case Kind::kVertexReplicate: {
+      // Result reference per entry: 0 = the result follows inline, k > 0 =
+      // the k-th result inlined earlier in this message.
+      std::unordered_map<const db::AggregateResult*, uint64_t> sent;
       w.PutNodeId(query_id);
-      w.PutNodeId(vertex_id);
-      w.PutVarint(vertex_state.size());
-      for (const auto& [child, ver, res] : vertex_state) {
-        w.PutNodeId(child);
-        w.PutU64(ver);
-        res.Encode(w);
+      w.PutVarint(replicas.size());
+      for (const VertexReplica& v : replicas) {
+        w.PutNodeId(v.vertex_id);
+        w.PutVarint(v.entries.size());
+        for (const ReplicaEntry& e : v.entries) {
+          w.PutNodeId(e.child);
+          w.PutVarint(e.version);
+          auto [it, inserted] = sent.emplace(e.result.get(), sent.size() + 1);
+          w.PutVarint(inserted ? 0 : it->second);
+          if (inserted) e.result->Encode(w);
+        }
       }
       break;
+    }
     case Kind::kQueryListRequest:
       break;
     case Kind::kQueryList:
@@ -150,19 +160,38 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
     }
     case Kind::kVertexReplicate: {
       SEAWEED_ASSIGN_OR_RETURN(msg->query_id, r.GetNodeId());
-      SEAWEED_ASSIGN_OR_RETURN(msg->vertex_id, r.GetNodeId());
-      SEAWEED_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-      // Entries are ≥24 wire bytes each (child id + version).
-      if (n > r.remaining() / 24) {
-        return Status::ParseError("vertex state count exceeds buffer");
+      SEAWEED_ASSIGN_OR_RETURN(uint64_t nv, r.GetVarint());
+      // Vertices are ≥17 wire bytes each (vertex id + entry count).
+      if (nv > r.remaining() / 17) {
+        return Status::ParseError("vertex replica count exceeds buffer");
       }
-      msg->vertex_state.reserve(static_cast<size_t>(n));
-      for (uint64_t i = 0; i < n; ++i) {
-        SEAWEED_ASSIGN_OR_RETURN(NodeId child, r.GetNodeId());
-        SEAWEED_ASSIGN_OR_RETURN(uint64_t ver, r.GetU64());
-        SEAWEED_ASSIGN_OR_RETURN(db::AggregateResult res,
-                                 db::AggregateResult::Decode(r));
-        msg->vertex_state.emplace_back(child, ver, std::move(res));
+      std::vector<std::shared_ptr<const db::AggregateResult>> sent;
+      msg->replicas.resize(static_cast<size_t>(nv));
+      for (VertexReplica& v : msg->replicas) {
+        SEAWEED_ASSIGN_OR_RETURN(v.vertex_id, r.GetNodeId());
+        SEAWEED_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+        // Entries are ≥18 wire bytes each (child id + version + reference).
+        if (n > r.remaining() / 18) {
+          return Status::ParseError("vertex state count exceeds buffer");
+        }
+        v.entries.resize(static_cast<size_t>(n));
+        for (ReplicaEntry& e : v.entries) {
+          SEAWEED_ASSIGN_OR_RETURN(e.child, r.GetNodeId());
+          SEAWEED_ASSIGN_OR_RETURN(e.version, r.GetVarint());
+          SEAWEED_ASSIGN_OR_RETURN(uint64_t ref, r.GetVarint());
+          if (ref > sent.size()) {
+            return Status::ParseError("result back-reference not yet sent");
+          }
+          if (ref == 0) {
+            SEAWEED_ASSIGN_OR_RETURN(db::AggregateResult res,
+                                     db::AggregateResult::Decode(r));
+            sent.push_back(
+                std::make_shared<const db::AggregateResult>(std::move(res)));
+            e.result = sent.back();
+          } else {
+            e.result = sent[static_cast<size_t>(ref - 1)];
+          }
+        }
       }
       break;
     }

@@ -5,7 +5,6 @@
 
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/wire.h"
@@ -67,13 +66,33 @@ struct SeaweedMessage : WireMessage {
   // kPredictorReport / kPredictorDeliver
   CompletenessPredictor predictor;
 
-  // kResultSubmit / kResultAck / kVertexReplicate / kResultDeliver
+  // kResultSubmit / kResultAck / kResultDeliver
   NodeId vertex_id;
   NodeId child_key;
   uint64_t version = 0;
   db::AggregateResult result;
-  // kVertexReplicate: full vertex state.
-  std::vector<std::tuple<NodeId, uint64_t, db::AggregateResult>> vertex_state;
+
+  // kVertexReplicate: the vertex entries one fold pass changed, for one
+  // backup. Each vertex lists either its full state or the changed children.
+  // Results are shared: one result reachable from several entries (a chain
+  // of single-child vertices) is encoded once and back-referenced after.
+  struct ReplicaEntry {
+    NodeId child;
+    uint64_t version = 0;
+    std::shared_ptr<const db::AggregateResult> result;  // never null
+
+    bool operator==(const ReplicaEntry& o) const {
+      return child == o.child && version == o.version &&
+             *result == *o.result;
+    }
+  };
+  struct VertexReplica {
+    NodeId vertex_id;
+    std::vector<ReplicaEntry> entries;
+
+    bool operator==(const VertexReplica&) const = default;
+  };
+  std::vector<VertexReplica> replicas;
 
   uint8_t wire_type() const override { return kWireType; }
 

@@ -306,6 +306,89 @@ TEST(ChaosTest, DissemRefreshReteachesRangesAfterTotalLossOutlastsRetries) {
   EXPECT_EQ(latest.endsystems, n);
 }
 
+TEST(ChaosTest, RootChainPrimaryCrashBetweenFoldPasses) {
+  // The root's primary folds the whole chain of vertex-id levels it owns in
+  // one pass and replicates the pass to its backups as one message each. If
+  // it crashes after one pass has delivered a partial result and before the
+  // next, a backup must take over with exactly the per-vertex state the
+  // pass left: the crashed node's own contribution, which only the backups
+  // still hold, must be counted once, and nothing twice.
+  const int n = 32;
+  ClusterOptions opts;
+  opts.WithEndsystems(n).WithSeed(7).WithSummaryWireBytes(0);
+  SeaweedCluster cluster(opts, MakeToyData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(10 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+  // The result is checked before the first periodic refresh could repair
+  // a lost aggregate: failover must work from the replicated state alone.
+  const SimDuration check_after = opts.seaweed().result_refresh_period / 2;
+
+  // Endsystem e has e+1 rows on each port: 100 bytes on 80, 50 on 443.
+  const int64_t per_port = ToyMatching(n);
+  bool predictor_ok = true;
+  bool overcounted = false;
+  int primary = -1;
+  bool crashed_between_passes = false;
+  db::AggregateResult latest;
+
+  QueryObserver obs;
+  obs.on_predictor = [&](const NodeId&, const CompletenessPredictor& p) {
+    double prev = 0;
+    for (SimDuration h : {SimDuration{0}, kMinute, kHour, 12 * kHour}) {
+      double c = p.CompletenessAt(h);
+      if (c < prev - 1e-9 || c < 0 || c > 1 + 1e-9) predictor_ok = false;
+      prev = c;
+    }
+  };
+  obs.on_result = [&](const NodeId&, const db::AggregateResult& r) {
+    latest = r;
+    if (r.rows_matched > 2 * per_port || r.endsystems > n) overcounted = true;
+    for (const auto& [key, states] : r.groups) {
+      if (states[1].count > per_port) overcounted = true;
+    }
+    if (primary < 0 || crashed_between_passes) return;
+    // The first delivery is the first fold pass at the root's primary. It
+    // is partial: later hops are still on their way, so the next pass
+    // would have folded more. Crash the primary before that pass.
+    EXPECT_LT(r.endsystems, n);
+    crashed_between_passes = true;
+    cluster.sim().After(kMillisecond, [&] { cluster.BringDown(primary); });
+  };
+
+  auto qid = cluster.InjectQuery(
+      0, "SELECT port, COUNT(*), SUM(bytes) FROM Flow GROUP BY port",
+      std::move(obs), /*ttl=*/6 * kHour);
+  ASSERT_TRUE(qid.ok()) << qid.status();
+  // The root vertex's primary is the endsystem numerically closest to the
+  // queryId; the test needs it to be someone other than the origin.
+  for (int e = 0; e < n; ++e) {
+    if (primary < 0 ||
+        cluster.pastry_node(e)->id().RingDistanceTo(*qid) <
+            cluster.pastry_node(primary)->id().RingDistanceTo(*qid)) {
+      primary = e;
+    }
+  }
+  ASSERT_NE(primary, 0);
+
+  cluster.sim().RunUntil(cluster.sim().Now() + check_after);
+
+  EXPECT_TRUE(crashed_between_passes);
+  EXPECT_TRUE(predictor_ok);
+  EXPECT_FALSE(overcounted);
+  EXPECT_EQ(latest.endsystems, n);
+  EXPECT_EQ(latest.rows_matched, 2 * per_port);
+  ASSERT_EQ(latest.groups.size(), 2u);
+  const auto* port80 = latest.FindGroup(db::Value(int64_t{80}));
+  const auto* port443 = latest.FindGroup(db::Value(int64_t{443}));
+  ASSERT_NE(port80, nullptr);
+  ASSERT_NE(port443, nullptr);
+  EXPECT_EQ((*port80)[1].count, per_port);
+  EXPECT_EQ((*port80)[2].sum, 100.0 * static_cast<double>(per_port));
+  EXPECT_EQ((*port443)[1].count, per_port);
+  EXPECT_EQ((*port443)[2].sum, 50.0 * static_cast<double>(per_port));
+}
+
 // One full run of a smaller chaos scenario, returning the obs exports.
 std::pair<std::string, std::string> RunOnce() {
   const int n = 20;

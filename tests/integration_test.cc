@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "anemone/anemone.h"
+#include "db/sql_parser.h"
 #include "seaweed/cluster_options.h"
 #include "trace/farsite_model.h"
 
@@ -102,6 +103,47 @@ TEST(IntegrationTest, AllUpQueryReturnsExactResult) {
   EXPECT_EQ(cap.latest()->rows_matched, ToyMatching(n));
   EXPECT_DOUBLE_EQ(cap.latest()->states[0].sum, ToyBytes(n));
   EXPECT_EQ(cap.latest()->endsystems, n);
+}
+
+// A result pays result_deliver_debounce once per network hop, not once per
+// vertex-id level of the chain folded on the root's node: per level, this
+// cluster's first complete result takes ~65 s (2 s x ~26 levels + hops).
+TEST(IntegrationTest, CompleteResultArrivesWithinTenSeconds) {
+  const int n = 120;
+  const std::string sql = "SELECT COUNT(*), SUM(Bytes) FROM Flow";
+  SeaweedCluster cluster(
+      ClusterOptions().WithEndsystems(n).WithSeed(7).BuildOrDie());
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(5 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+
+  // Ground truth: the same SQL on every endsystem's data, merged.
+  auto parsed = db::ParseSelect(sql);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  db::AggregateResult truth;
+  for (int e = 0; e < n; ++e) {
+    auto local = cluster.data()->Execute(e, *parsed);
+    ASSERT_TRUE(local.ok()) << local.status();
+    truth.Merge(*local);
+  }
+  ASSERT_EQ(truth.endsystems, n);
+
+  Capture cap;
+  const SimTime inject_at = cluster.sim().Now();
+  auto qid = cluster.InjectQuery(0, sql, cap.MakeObserver(&cluster.sim()));
+  ASSERT_TRUE(qid.ok()) << qid.status();
+  cluster.sim().RunUntil(inject_at + 2 * kMinute);
+
+  const std::pair<SimTime, db::AggregateResult>* complete = nullptr;
+  for (const auto& update : cap.results) {
+    if (update.second.endsystems == n) {
+      complete = &update;
+      break;
+    }
+  }
+  ASSERT_NE(complete, nullptr) << "no result covered every endsystem";
+  EXPECT_LE(complete->first - inject_at, 10 * kSecond);
+  EXPECT_EQ(complete->second, truth);
 }
 
 TEST(IntegrationTest, PredictorLatencyIsSeconds) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -123,7 +124,7 @@ TEST(GoldenWireSizeTest, SeaweedMessageDefaults) {
       {SeaweedMessage::Kind::kPredictorDeliver, 381},
       {SeaweedMessage::Kind::kResultSubmit, 76},
       {SeaweedMessage::Kind::kResultAck, 58},
-      {SeaweedMessage::Kind::kVertexReplicate, 35},
+      {SeaweedMessage::Kind::kVertexReplicate, 19},
       {SeaweedMessage::Kind::kResultDeliver, 76},
       {SeaweedMessage::Kind::kQueryListRequest, 2},
       {SeaweedMessage::Kind::kQueryList, 3},
@@ -353,19 +354,148 @@ TEST(SeaweedCodecTest, ResultPlaneKindsRoundTrip) {
   }
 }
 
+using ResultPtr = std::shared_ptr<const db::AggregateResult>;
+
+ResultPtr Shared(db::AggregateResult r) {
+  return std::make_shared<const db::AggregateResult>(std::move(r));
+}
+
 TEST(SeaweedCodecTest, VertexReplicateRoundTrips) {
   SeaweedMessage msg;
   msg.kind = SeaweedMessage::Kind::kVertexReplicate;
   msg.query_id = NodeId(1, 1);
-  msg.vertex_id = NodeId(2, 2);
-  msg.vertex_state.emplace_back(NodeId(3, 3), 4, TestResult());
-  msg.vertex_state.emplace_back(NodeId(5, 5), 6, db::AggregateResult{});
+  msg.replicas.push_back({NodeId(2, 2),
+                          {{NodeId(3, 3), 4, Shared(TestResult())},
+                           {NodeId(5, 5), 6, Shared(db::AggregateResult{})}}});
 
   std::vector<uint8_t> bytes = EncodeToBytes(msg);
   auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(bytes));
   ASSERT_NE(copy, nullptr);
-  EXPECT_EQ(copy->vertex_state, msg.vertex_state);
+  EXPECT_EQ(copy->query_id, msg.query_id);
+  EXPECT_EQ(copy->replicas, msg.replicas);
   EXPECT_EQ(EncodeToBytes(*copy), bytes);
+}
+
+TEST(SeaweedCodecTest, VertexReplicateSendsSharedResultOnce) {
+  // A fold pass up a chain of single-child vertices: every level holds the
+  // same result pointer, which goes on the wire once.
+  const ResultPtr chain = Shared(TestResult());
+  SeaweedMessage msg;
+  msg.kind = SeaweedMessage::Kind::kVertexReplicate;
+  msg.query_id = NodeId(1, 1);
+  for (uint64_t level = 0; level < 5; ++level) {
+    msg.replicas.push_back({NodeId(2, level), {{NodeId(3, level), 7, chain}}});
+  }
+  msg.replicas.back().entries.push_back(
+      {NodeId(4, 4), 9, Shared(TestResult())});
+
+  std::vector<uint8_t> bytes = EncodeToBytes(msg);
+  auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(bytes));
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(copy->replicas, msg.replicas);
+  EXPECT_EQ(EncodeToBytes(*copy), bytes);
+  // Decoded back-references share one result, as the sender's did; an
+  // equal result under another pointer is sent again.
+  for (const auto& v : copy->replicas) {
+    EXPECT_EQ(v.entries[0].result, copy->replicas[0].entries[0].result);
+  }
+  EXPECT_NE(copy->replicas.back().entries[1].result,
+            copy->replicas[0].entries[0].result);
+
+  const size_t result_bytes = TestResult().EncodedBytes();
+  SeaweedMessage one;
+  one.kind = SeaweedMessage::Kind::kVertexReplicate;
+  one.replicas.push_back({NodeId(2, 0), {{NodeId(3, 0), 7, chain}}});
+  // Each level after the first costs its vertex id, entry count, child id,
+  // version and a one-byte reference, not another result.
+  EXPECT_EQ(msg.EncodedBytes(),
+            one.EncodedBytes() + 4 * (16 + 1 + 16 + 1 + 1) + 16 + 1 + 1 +
+                result_bytes);
+}
+
+// Exact states round-trip bit for bit through the compact layout, whatever
+// mix of defaults, integers and raw doubles they hold.
+TEST(SeaweedCodecTest, AggStateCompactEncodingIsLossless) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double k2p53 = 9007199254740992.0;
+  const double kValues[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      kInf,
+      -kInf,
+      k2p53 - 1,
+      k2p53 + 1,  // rounds to 2^53, still integral
+      k2p53 + 2,
+      -(k2p53 + 2),
+      9223372036854775807.0,   // INT64_MAX rounds to 2^63: out of range
+      -9223372036854775808.0,  // INT64_MIN: in range
+      0.5,
+      -12.25,
+      1e300,
+      std::numeric_limits<double>::denorm_min(),
+      3.0,
+      -1.0,
+  };
+  const int64_t kCounts[] = {0, 1, -1, std::numeric_limits<int64_t>::max(),
+                             std::numeric_limits<int64_t>::min()};
+  auto bits = [](double v) {
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof(v));
+    return b;
+  };
+  for (double sum : kValues) {
+    for (double edge : kValues) {
+      for (int64_t count : kCounts) {
+        db::AggState s;
+        s.sum = sum;
+        s.count = count;
+        s.min = edge;
+        s.max = -edge;
+        Writer w;
+        s.Encode(w);
+        Reader r(w.bytes());
+        auto back = db::AggState::Decode(r);
+        ASSERT_TRUE(back.ok()) << back.status().ToString();
+        EXPECT_TRUE(r.AtEnd());
+        EXPECT_EQ(bits(back->sum), bits(sum));
+        EXPECT_EQ(bits(back->min), bits(edge));
+        EXPECT_EQ(bits(back->max), bits(-edge));
+        EXPECT_EQ(back->count, count);
+        Writer again;
+        back->Encode(again);
+        EXPECT_EQ(again.bytes(), w.bytes());
+      }
+    }
+  }
+  // Defaults cost the tag, flag and count bytes only; small integers a
+  // varint each, non-integral values 8 raw bytes.
+  db::AggregateResult one_empty;
+  one_empty.states.resize(1);
+  EXPECT_EQ(one_empty.EncodedBytes() - db::AggregateResult{}.EncodedBytes(),
+            3u);
+  db::AggState ints;
+  ints.Add(5);
+  ints.Add(7);
+  Writer w;
+  ints.Encode(w);
+  EXPECT_EQ(w.size(), 3u + 3u);
+  db::AggState frac;
+  frac.Add(0.5);
+  Writer wf;
+  frac.Encode(wf);
+  EXPECT_EQ(wf.size(), 3u + 3 * 8u);
+}
+
+TEST(SeaweedCodecTest, AggStateRejectsBadFlags) {
+  for (uint8_t flags : {uint8_t{0x40}, uint8_t{0x80}, uint8_t{0x02}}) {
+    std::vector<uint8_t> bytes = {0x00, flags, 0x00, 0, 0, 0, 0, 0, 0, 0, 0};
+    Reader r(bytes);
+    auto decoded = db::AggState::Decode(r);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_TRUE(decoded.status().IsParseError()) << int{flags};
+  }
 }
 
 TEST(SeaweedCodecTest, QueryListKindsRoundTrip) {
@@ -454,7 +584,9 @@ TEST(CorruptInputTest, TruncationNeverCrashes) {
 
   SeaweedMessage rep;
   rep.kind = SeaweedMessage::Kind::kVertexReplicate;
-  rep.vertex_state.emplace_back(NodeId(1, 1), 2, TestResult());
+  const auto shared = std::make_shared<const db::AggregateResult>(TestResult());
+  rep.replicas.push_back({NodeId(1, 1), {{NodeId(1, 2), 2, shared}}});
+  rep.replicas.push_back({NodeId(1, 3), {{NodeId(1, 1), 3, shared}}});
   ExpectTruncationSafe(rep);
 
   SeaweedMessage pred;
@@ -497,6 +629,46 @@ TEST(CorruptInputTest, BadTagsAndEnumsRejected) {
     Reader r(bytes);
     EXPECT_FALSE(DecodeWireMessage(r).ok());
   }
+}
+
+// Hand-built kVertexReplicate bodies: each must decode to a ParseError.
+TEST(CorruptInputTest, VertexReplicateBadCountsAndReferences) {
+  auto replicate = [](uint64_t vertices, uint64_t entries, uint64_t ref) {
+    Writer w;
+    w.PutU8(SeaweedMessage::kWireType);
+    w.PutU8(static_cast<uint8_t>(SeaweedMessage::Kind::kVertexReplicate));
+    w.PutNodeId(NodeId(1, 1));  // query id
+    w.PutVarint(vertices);
+    w.PutNodeId(NodeId(2, 2));  // vertex id
+    w.PutVarint(entries);
+    w.PutNodeId(NodeId(3, 3));  // child
+    w.PutVarint(5);             // version
+    w.PutVarint(ref);
+    db::AggregateResult{}.Encode(w);
+    return w.TakeBytes();
+  };
+  auto expect_parse_error = [](const std::vector<uint8_t>& bytes,
+                               const char* what) {
+    Reader r(bytes);
+    auto decoded = DecodeWireMessage(r);
+    ASSERT_FALSE(decoded.ok()) << what;
+    EXPECT_TRUE(decoded.status().IsParseError())
+        << what << ": " << decoded.status().ToString();
+  };
+  // Sanity: the well-formed body decodes.
+  {
+    std::vector<uint8_t> ok = replicate(1, 1, 0);
+    Reader r(ok);
+    ASSERT_TRUE(DecodeWireMessage(r).ok());
+  }
+  expect_parse_error(replicate(1, 1, 1), "reference to a result not yet sent");
+  expect_parse_error(replicate(1, 1, 1000), "reference far past the end");
+  expect_parse_error(replicate(1u << 20, 1, 0), "vertex count");
+  expect_parse_error(replicate(std::numeric_limits<uint64_t>::max(), 1, 0),
+                     "max vertex count");
+  expect_parse_error(replicate(1, 1u << 20, 0), "entry count");
+  expect_parse_error(replicate(1, std::numeric_limits<uint64_t>::max(), 0),
+                     "max entry count");
 }
 
 TEST(CorruptInputTest, TrailingGarbageDetectable) {
@@ -644,9 +816,20 @@ TEST(RandomizedFixpointTest, AllSeaweedKinds) {
     for (uint64_t n = rng.NextBelow(3); n > 0; --n) {
       msg.queries.push_back(RandomQuery(rng));
     }
-    for (uint64_t n = rng.NextBelow(3); n > 0; --n) {
-      msg.vertex_state.emplace_back(RandomId(rng), rng.Next(),
-                                    RandomResult(rng));
+    // Multi-vertex replicates drawing from a small pool of results, so
+    // results repeat across entries and vertices (back-references).
+    std::vector<std::shared_ptr<const db::AggregateResult>> pool;
+    for (uint64_t n = rng.NextBelow(3) + 1; n > 0; --n) {
+      pool.push_back(
+          std::make_shared<const db::AggregateResult>(RandomResult(rng)));
+    }
+    for (uint64_t v = rng.NextBelow(4); v > 0; --v) {
+      SeaweedMessage::VertexReplica replica{RandomId(rng), {}};
+      for (uint64_t n = rng.NextBelow(4); n > 0; --n) {
+        replica.entries.push_back(
+            {RandomId(rng), rng.Next(), pool[rng.NextBelow(pool.size())]});
+      }
+      msg.replicas.push_back(std::move(replica));
     }
     for (uint64_t n = rng.NextBelow(10); n > 0; --n) {
       msg.predictor.AddRowsAt(

@@ -387,6 +387,34 @@ void PrintPipeline(const Dump& d) {
   std::printf("  %-36s %12" PRIu64 "\n", "queries load-shed", shed);
 }
 
+// Result plane: vertex updates, the fold passes that propagate them (one
+// per query and node per debounce; a pass folds the locally owned chain of
+// vertex-id levels in one step), and what goes to the vertex backups: one
+// kVertexReplicate per backup per pass, plus one per backup for each
+// remote submit that arrives between passes.
+void PrintResultPlane(const Dump& d) {
+  const uint64_t updates = CounterOr0(d, "seaweed.vertex_updates");
+  const uint64_t passes = CounterOr0(d, "seaweed.fold_passes");
+  const uint64_t folded = CounterOr0(d, "seaweed.fold_vertices");
+  const uint64_t msgs = CounterOr0(d, "seaweed.replicate_msgs");
+  const uint64_t bytes = CounterOr0(d, "seaweed.replicate_bytes");
+  if (updates + passes + msgs == 0) return;  // no aggregate results flowed
+  std::printf("\n== seaweed result plane ==\n");
+  std::printf("  %-36s %12" PRIu64 "\n", "vertex updates", updates);
+  std::printf("  %-36s %12" PRIu64 "\n", "fold passes", passes);
+  std::printf("  %-36s %12" PRIu64 "\n", "vertices folded", folded);
+  if (passes > 0) {
+    std::printf("  %-36s %12.2f\n", "vertices per fold pass",
+                static_cast<double>(folded) / static_cast<double>(passes));
+  }
+  std::printf("  %-36s %12" PRIu64 "\n", "replicate messages", msgs);
+  std::printf("  %-36s %12" PRIu64 "\n", "replicate bytes", bytes);
+  if (msgs > 0) {
+    std::printf("  %-36s %12.1f\n", "bytes per replicate message",
+                static_cast<double>(bytes) / static_cast<double>(msgs));
+  }
+}
+
 void PrintSketches(const Dump& d) {
   const uint64_t results = CounterOr0(d, "seaweed.sketch.results");
   const uint64_t merges = CounterOr0(d, "seaweed.sketch.merges");
@@ -452,6 +480,7 @@ int main(int argc, char** argv) {
   PrintRunSummary(dump);
   PrintBandwidth(dump);
   PrintPerQuery(dump, /*top_n=*/10);
+  PrintResultPlane(dump);
   PrintPipeline(dump);
   PrintSketches(dump);
   PrintRepairs(dump);
