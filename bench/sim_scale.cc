@@ -1,7 +1,8 @@
 // Simulation-engine scale bench: wall-clock and peak RSS of a Fig-9-style
 // run (Farsite-like churn trace, the paper's query injected at T/4) at
-// 10^4 / 10^5 / 10^6 endsystems, comparing the serial engine against the
-// laned engine at 1 and 2 worker threads.
+// 10^4 / 10^5 / 10^6 endsystems, comparing in-flight messages held as live
+// objects against in-flight messages held as encoded wire bytes: the CPU
+// vs memory trade of Network::SetEncodeInFlight.
 //
 // Each configuration runs in a forked child so ru_maxrss (process-monotone)
 // measures that configuration alone; the child reports a POD result over a
@@ -45,8 +46,6 @@ struct Point {
 
 struct Config {
   Point point;
-  int lanes;    // 0 = serial engine
-  int threads;  // workers for the laned engine
   bool encode_in_flight;
 };
 
@@ -90,7 +89,7 @@ std::vector<Point> ParsePoints() {
 }
 
 const char* EngineName(const Config& cfg) {
-  return cfg.lanes == 0 ? "serial" : (cfg.threads > 1 ? "laned_t2" : "laned_t1");
+  return cfg.encode_in_flight ? "serial_encoded" : "serial_live";
 }
 
 // Runs one configuration in this process; called only in the forked child.
@@ -109,16 +108,14 @@ RunResult RunConfig(const Config& cfg) {
       .WithSeed(1)
       .WithKeepTables(false)
       .WithSummaryWireBytes(6473)
-      .WithLanes(cfg.lanes)
-      .WithThreads(cfg.threads)
       .WithEncodeInFlight(cfg.encode_in_flight);
   // Small per-node tables keep the 10^6 point inside RAM: every endsystem
   // still builds, replicates, and queries real summaries, but the encoded
   // record is ~1 KB instead of ~14 KB (metadata replicas dominate peak RSS
   // at large N). Wire-level costs are unaffected — summaries are charged at
   // the paper's h = 6473 B via WithSummaryWireBytes above — and the config
-  // is identical across the three engines at every point, so the
-  // serial-vs-laned comparison is apples to apples.
+  // is identical across both configurations at every point, so the
+  // live-vs-encoded comparison is apples to apples.
   opts.anemone().days = 1;
   opts.anemone().workstation_flows_per_day = 6;
   SeaweedCluster cluster(opts.BuildOrDie());
@@ -203,19 +200,18 @@ bool RunConfigForked(const Config& cfg, RunResult* out) {
 int main() {
   Header("sim_scale", "engine wall-clock and peak RSS vs population");
   Note("Fig-9-style run: Farsite churn trace + the paper's query at T/4.");
-  Note("serial = lanes 0 (legacy engine, live in-flight messages);");
-  Note("laned_tK = 8 lanes, K worker threads, encoded in-flight messages.");
+  Note("serial_live = in-flight messages held as message objects;");
+  Note("serial_encoded = in-flight messages held as wire bytes.");
 
   bench::ResultWriter results("sim_scale");
   std::vector<std::vector<double>> rows;
 
-  std::printf("%10s %9s %8s %10s %12s %12s %12s\n", "N", "sim_h", "engine",
+  std::printf("%10s %9s %14s %10s %12s %12s %12s\n", "N", "sim_h", "engine",
               "wall_s", "peak_rss_MB", "events", "events/s");
   for (const Point& p : ParsePoints()) {
     Config configs[] = {
-        {p, /*lanes=*/0, /*threads=*/1, /*encode_in_flight=*/false},
-        {p, /*lanes=*/8, /*threads=*/1, /*encode_in_flight=*/true},
-        {p, /*lanes=*/8, /*threads=*/2, /*encode_in_flight=*/true},
+        {p, /*encode_in_flight=*/false},
+        {p, /*encode_in_flight=*/true},
     };
     for (const Config& cfg : configs) {
       RunResult r{};
@@ -224,21 +220,20 @@ int main() {
                      EngineName(cfg));
         continue;
       }
-      std::printf("%10d %9.2f %8s %10.1f %12.1f %12.0f %12.0f\n",
+      std::printf("%10d %9.2f %14s %10.1f %12.1f %12.0f %12.0f\n",
                   p.endsystems, p.sim_hours, EngineName(cfg), r.wall_seconds,
                   r.peak_rss_bytes / 1e6, r.events_executed,
                   r.events_per_second);
       std::fflush(stdout);
       rows.push_back({static_cast<double>(p.endsystems), p.sim_hours,
-                      static_cast<double>(cfg.lanes),
-                      static_cast<double>(cfg.threads), r.wall_seconds,
+                      cfg.encode_in_flight ? 1.0 : 0.0, r.wall_seconds,
                       r.peak_rss_bytes, r.events_executed,
                       r.events_per_second});
     }
   }
 
   results.Table("scale",
-                {"endsystems", "sim_hours", "lanes", "threads",
+                {"endsystems", "sim_hours", "encode_in_flight",
                  "wall_seconds", "peak_rss_bytes", "events_executed",
                  "events_per_second"},
                 rows);

@@ -16,9 +16,8 @@ namespace seaweed {
 // finalizer rounds). Used for counter-hash randomness: components that draw
 // per-message randomness seed a local Rng with
 // MixSeed(stream_seed, sender, sender_sequence) instead of sharing one
-// generator, so draws are independent of event interleaving — a requirement
-// for the parallel simulator's determinism, and a convenience everywhere
-// else (no generator threading).
+// generator, so draws are independent of event interleaving (and no
+// generator has to be threaded through the callers).
 inline uint64_t MixSeed(uint64_t a, uint64_t b = 0, uint64_t c = 0) {
   uint64_t x = a;
   auto round = [&x](uint64_t add) {

@@ -56,18 +56,23 @@ void AppendI64(std::string* out, int64_t v) {
   *out += buf;
 }
 
+void WriteCounterLine(std::string_view name, uint64_t value,
+                      std::ostream& os) {
+  std::string line = "{\"kind\":\"counter\",\"name\":";
+  AppendQuoted(&line, name);
+  line += ",\"value\":";
+  AppendU64(&line, value);
+  line += "}\n";
+  os << line;
+}
+
 }  // namespace
 
 void WriteMetricsJsonl(const MetricsRegistry& registry, std::ostream& os) {
-  std::string line;
   for (const auto& [name, c] : registry.counters()) {
-    line = "{\"kind\":\"counter\",\"name\":";
-    AppendQuoted(&line, name);
-    line += ",\"value\":";
-    AppendU64(&line, c->value());
-    line += "}\n";
-    os << line;
+    WriteCounterLine(name, c->value(), os);
   }
+  std::string line;
   for (const auto& [name, g] : registry.gauges()) {
     line = "{\"kind\":\"gauge\",\"name\":";
     AppendQuoted(&line, name);
@@ -171,7 +176,11 @@ Status DumpToFile(const MetricsRegistry* registry, const TraceSink* sink,
   std::ofstream out(path, std::ios::trunc);
   if (!out) return Status::IoError("cannot open " + path);
   if (registry != nullptr) WriteMetricsJsonl(*registry, out);
-  if (sink != nullptr) WriteTraceJsonl(*sink, out);
+  if (sink != nullptr) {
+    WriteCounterLine("obs.trace.started", sink->started(), out);
+    WriteCounterLine("obs.trace.dropped", sink->dropped(), out);
+    WriteTraceJsonl(*sink, out);
+  }
   out.flush();
   if (!out) return Status::IoError("write failed: " + path);
   return Status::OK();

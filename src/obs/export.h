@@ -29,7 +29,9 @@ void AppendJsonEscaped(std::string* out, std::string_view s);
 void WriteMetricsJsonl(const MetricsRegistry& registry, std::ostream& os);
 void WriteTraceJsonl(const TraceSink& sink, std::ostream& os);
 
-// Writes metrics then spans to `path`; either source may be null.
+// Writes metrics then spans to `path`; either source may be null. A sink
+// also contributes two counter records ahead of its spans:
+// obs.trace.started and obs.trace.dropped (spans lost to ring wrap-around).
 Status DumpToFile(const MetricsRegistry* registry, const TraceSink* sink,
                   const std::string& path);
 

@@ -38,15 +38,6 @@ SeaweedCluster::SeaweedCluster(const ClusterConfig& config,
 }
 
 void SeaweedCluster::Construct(std::shared_ptr<DataProvider> data) {
-  // Lane wiring must precede any event scheduling: the lane plan decides
-  // which queue every endsystem's events land on.
-  if (config_.lanes > 0) {
-    Topology::LanePlan plan = topology_.ComputeLanePlan(config_.lanes);
-    sim_.ConfigureLanes(plan.num_lanes, plan.lookahead);
-    sim_.SetEndsystemLanes(std::move(plan.lane_of));
-    sim_.SetThreads(config_.threads);
-    obs_.trace.ConfigureLanes(plan.num_lanes);
-  }
   if (config_.encode_in_flight) network_.SetEncodeInFlight(true);
 
   queue_depth_gauge_ = obs_.metrics.GetGauge("sim.event_queue_depth");
@@ -182,29 +173,13 @@ void SeaweedCluster::AccumulateOnline(SimTime now) {
 }
 
 void SeaweedCluster::PublishStatsGauges() {
-  uint64_t min_depth = UINT64_MAX;
-  uint64_t max_depth = 0;
-  for (int q = 0; q < sim_.num_queues(); ++q) {
-    const std::string prefix = "sim.lane." + std::to_string(q);
-    const EventQueue::Stats& st = sim_.QueueStats(q);
-    const uint64_t depth = sim_.QueueDepth(q);
-    obs_.metrics.GetGauge(prefix + ".depth")
-        ->Set(static_cast<int64_t>(depth));
-    obs_.metrics.GetGauge(prefix + ".scheduled")
-        ->Set(static_cast<int64_t>(st.scheduled));
-    obs_.metrics.GetGauge(prefix + ".executed")
-        ->Set(static_cast<int64_t>(st.executed));
-    obs_.metrics.GetGauge(prefix + ".cancelled")
-        ->Set(static_cast<int64_t>(st.cancelled));
-    if (q >= 1) {  // skew is over topology lanes, not the control queue
-      min_depth = std::min(min_depth, depth);
-      max_depth = std::max(max_depth, depth);
-    }
-  }
-  obs_.metrics.GetGauge("sim.lane.max_skew")
-      ->Set(max_depth >= min_depth
-                ? static_cast<int64_t>(max_depth - min_depth)
-                : 0);
+  const EventQueue::Stats& st = sim_.queue_stats();
+  obs_.metrics.GetGauge("sim.events.scheduled")
+      ->Set(static_cast<int64_t>(st.scheduled));
+  obs_.metrics.GetGauge("sim.events.executed")
+      ->Set(static_cast<int64_t>(st.executed));
+  obs_.metrics.GetGauge("sim.events.cancelled")
+      ->Set(static_cast<int64_t>(st.cancelled));
 
   obs_.metrics.GetGauge("mem.overlay.routing_bytes")
       ->Set(static_cast<int64_t>(overlay_->ApproxRoutingBytes()));
@@ -228,9 +203,8 @@ void SeaweedCluster::DriveFromTrace(const AvailabilityTrace& trace,
                                     SimTime until) {
   SEAWEED_CHECK(trace.num_endsystems() >= config_.num_endsystems);
   const SimTime now = sim_.Now();
-  // Hourly engine/memory gauge snapshots on the control queue (Gauge::Set
-  // requires an exclusive context). Bounded by `until` so runs that drain
-  // the schedule to completion still terminate.
+  // Hourly engine/memory gauge snapshots. Bounded by `until` so runs that
+  // drain the schedule to completion still terminate.
   for (SimTime t = ((now / kHour) + 1) * kHour; t < until; t += kHour) {
     sim_.At(t, [this] { PublishStatsGauges(); });
   }

@@ -1,10 +1,7 @@
-// Thread-count determinism of the laned simulation engine: for a fixed lane
-// plan and seed, a run with N worker threads must be byte-identical to the
-// 1-thread run — same events, same messages, same obs JSONL (metrics and
-// trace spans). This is the contract that makes parallel runs trustworthy:
-// the schedule is partitioned by lane, windows are synchronized by
-// lookahead, and thread count only changes who executes a lane's window,
-// never the committed event order.
+// Determinism of the simulation engine: a seeded run repeated in the same
+// process must be byte-identical — same events, same messages, same obs
+// JSONL (metrics and trace spans) — and the multi-tenant pipeline knobs must
+// never change query answers.
 #include <memory>
 #include <sstream>
 #include <string>
@@ -39,8 +36,7 @@ struct MultiTenantKnobs {
   int num_queries = 1;
 };
 
-RunArtifacts RunSeededCluster(int endsystems, int lanes, int threads,
-                              SimDuration duration,
+RunArtifacts RunSeededCluster(int endsystems, SimDuration duration,
                               const MultiTenantKnobs& knobs = {}) {
   FarsiteModelConfig trace_cfg;
   trace_cfg.seed = 11;
@@ -51,8 +47,6 @@ RunArtifacts RunSeededCluster(int endsystems, int lanes, int threads,
   opts.WithEndsystems(endsystems)
       .WithSeed(11)
       .WithKeepTables(false)
-      .WithLanes(lanes)
-      .WithThreads(threads)
       .WithEncodeInFlight(true);
   opts.seaweed().batching = knobs.batching;
   opts.seaweed().cache_eps = knobs.cache_eps;
@@ -108,68 +102,23 @@ RunArtifacts RunSeededCluster(int endsystems, int lanes, int threads,
   return a;
 }
 
-TEST(LaneDeterminism, ThreadCountDoesNotChangeResults) {
-  const int kEndsystems = 1000;
-  const SimDuration kDuration = 30 * kMinute;
-  RunArtifacts t1 = RunSeededCluster(kEndsystems, /*lanes=*/4, /*threads=*/1,
-                                     kDuration);
-  RunArtifacts t2 = RunSeededCluster(kEndsystems, /*lanes=*/4, /*threads=*/2,
-                                     kDuration);
-
-  // The run must have actually done something before identity means much.
-  EXPECT_GT(t1.joined, kEndsystems / 2);
-  EXPECT_GT(t1.messages_sent, 10000u);
-
-  EXPECT_EQ(t1.events_executed, t2.events_executed);
-  EXPECT_EQ(t1.messages_sent, t2.messages_sent);
-  EXPECT_EQ(t1.joined, t2.joined);
-  // Byte-identical observability output: metrics registry and span rings.
-  EXPECT_EQ(t1.metrics_jsonl, t2.metrics_jsonl);
-  EXPECT_EQ(t1.trace_jsonl, t2.trace_jsonl);
-}
-
-TEST(LaneDeterminism, RepeatedRunIsByteIdentical) {
-  // Same thread count twice: guards against nondeterminism that has nothing
-  // to do with threading (iteration order, uninitialized state, wall-clock
-  // leaks) so the cross-thread test above stays meaningful.
+TEST(Determinism, RepeatedRunIsByteIdentical) {
+  // Guards against nondeterminism from iteration order, uninitialized state
+  // or wall-clock leaks.
   const SimDuration kDuration = 20 * kMinute;
-  RunArtifacts a = RunSeededCluster(400, /*lanes=*/3, /*threads=*/2,
-                                    kDuration);
-  RunArtifacts b = RunSeededCluster(400, /*lanes=*/3, /*threads=*/2,
-                                    kDuration);
+  RunArtifacts a = RunSeededCluster(400, kDuration);
+  RunArtifacts b = RunSeededCluster(400, kDuration);
+  // The run must have actually done something before identity means much.
+  EXPECT_GT(a.joined, 400 / 2);
+  EXPECT_GT(a.messages_sent, 10000u);
   EXPECT_EQ(a.events_executed, b.events_executed);
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.joined, b.joined);
   EXPECT_EQ(a.metrics_jsonl, b.metrics_jsonl);
   EXPECT_EQ(a.trace_jsonl, b.trace_jsonl);
 }
 
-TEST(LaneDeterminism, BatchedRunIsThreadCountDeterministic) {
-  // The full multi-tenant pipeline — outbox batching, the bounded-divergence
-  // predictor cache, and time-sliced execution — must preserve the lane
-  // determinism contract: thread count never changes committed event order,
-  // so two runs differing only in worker threads stay byte-identical.
-  MultiTenantKnobs knobs;
-  knobs.batching = true;
-  knobs.cache_eps = 30 * kSecond;
-  knobs.exec_slice_batches = 4;
-  knobs.num_queries = 3;
-  const SimDuration kDuration = 25 * kMinute;
-  RunArtifacts t1 = RunSeededCluster(600, /*lanes=*/4, /*threads=*/1,
-                                     kDuration, knobs);
-  RunArtifacts t2 = RunSeededCluster(600, /*lanes=*/4, /*threads=*/2,
-                                     kDuration, knobs);
-
-  // The pipeline actually engaged — a batch-free run proves nothing.
-  EXPECT_GT(t1.batch_entries, 0u);
-
-  EXPECT_EQ(t1.events_executed, t2.events_executed);
-  EXPECT_EQ(t1.messages_sent, t2.messages_sent);
-  EXPECT_EQ(t1.joined, t2.joined);
-  EXPECT_EQ(t1.metrics_jsonl, t2.metrics_jsonl);
-  EXPECT_EQ(t1.trace_jsonl, t2.trace_jsonl);
-  EXPECT_EQ(t1.finals, t2.finals);
-}
-
-TEST(LaneDeterminism, BatchingOnOffSameFinalAggregates) {
+TEST(Determinism, BatchingOnOffSameFinalAggregates) {
   // Batching and caching change message timing and wire layout, never
   // query answers: a run with the pipeline on must converge to the same
   // final aggregate per query as the plain run.
@@ -180,10 +129,8 @@ TEST(LaneDeterminism, BatchingOnOffSameFinalAggregates) {
   on.cache_eps = 30 * kSecond;
   on.exec_slice_batches = 4;
   const SimDuration kDuration = 40 * kMinute;
-  RunArtifacts plain = RunSeededCluster(300, /*lanes=*/0, /*threads=*/1,
-                                        kDuration, off);
-  RunArtifacts batched = RunSeededCluster(300, /*lanes=*/0, /*threads=*/1,
-                                          kDuration, on);
+  RunArtifacts plain = RunSeededCluster(300, kDuration, off);
+  RunArtifacts batched = RunSeededCluster(300, kDuration, on);
 
   EXPECT_EQ(plain.batch_entries, 0u);
   EXPECT_GT(batched.batch_entries, 0u);
@@ -194,14 +141,18 @@ TEST(LaneDeterminism, BatchingOnOffSameFinalAggregates) {
   }
 }
 
-TEST(LaneDeterminism, LaneGaugesPublished) {
-  RunArtifacts a = RunSeededCluster(200, /*lanes=*/4, /*threads=*/2,
-                                    10 * kMinute);
-  // Per-lane engine stats and memory-footprint gauges must appear in the
-  // metrics dump (obs_report consumes these names).
-  EXPECT_NE(a.metrics_jsonl.find("sim.lane.0.scheduled"), std::string::npos);
-  EXPECT_NE(a.metrics_jsonl.find("sim.lane.1.executed"), std::string::npos);
-  EXPECT_NE(a.metrics_jsonl.find("sim.lane.max_skew"), std::string::npos);
+TEST(Determinism, EngineGaugesPublished) {
+  RunArtifacts a = RunSeededCluster(200, 10 * kMinute);
+  // Engine stats and memory-footprint gauges must appear in the metrics
+  // dump (obs_report and the benches consume these names).
+  EXPECT_NE(a.metrics_jsonl.find("\"sim.events.scheduled\""),
+            std::string::npos);
+  EXPECT_NE(a.metrics_jsonl.find("\"sim.events.cancelled\""),
+            std::string::npos);
+  // Published after the run, so the gauge equals the engine's own count.
+  EXPECT_NE(a.metrics_jsonl.find("\"sim.events.executed\",\"value\":" +
+                                 std::to_string(a.events_executed) + ","),
+            std::string::npos);
   EXPECT_NE(a.metrics_jsonl.find("mem.overlay.routing_bytes"),
             std::string::npos);
   EXPECT_NE(a.metrics_jsonl.find("mem.meta.store_bytes"), std::string::npos);

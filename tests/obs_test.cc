@@ -214,6 +214,23 @@ TEST(ExportTest, DumpToFileAndParseBack) {
   std::remove(path.c_str());
 }
 
+TEST(ExportTest, DumpToFileCountsOverwrittenSpans) {
+  TraceSink sink(4);
+  for (int i = 0; i < 10; ++i) sink.StartSpan("s", 1, i);
+  std::string path = ::testing::TempDir() + "/obs_dump_dropped_test.jsonl";
+  ASSERT_TRUE(DumpToFile(nullptr, &sink, path).ok());
+  std::ifstream in(path);
+  auto parsed = ParseJsonLines(in);
+  ASSERT_TRUE(parsed.ok());
+  const Json* started = FindLine(parsed.value(), "counter", "obs.trace.started");
+  const Json* dropped = FindLine(parsed.value(), "counter", "obs.trace.dropped");
+  ASSERT_NE(started, nullptr);
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(started->Find("value")->AsUint(), 10u);
+  EXPECT_EQ(dropped->Find("value")->AsUint(), 6u);
+  std::remove(path.c_str());
+}
+
 TEST(JsonlReaderTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("{\"a\":}").ok());
   EXPECT_FALSE(ParseJson("[1,2").ok());

@@ -2,7 +2,8 @@
 // obs::DumpToFile (e.g. by bench/fig9_overheads, or any SeaweedCluster user
 // via bench::DumpObs / SEAWEED_OBS_DUMP) as a human-readable run report:
 //
-//   - run summary (messages, peak population, event-queue depth)
+//   - run summary (messages, peak population, event-queue depth, trace
+//     spans started and lost to ring overwrite)
 //   - per-category bandwidth breakdown (from the "bw.tx.*" / "bw.rx.*"
 //     timeseries — the same storage BandwidthMeter accounts into, so the
 //     totals here equal the meter's byte-for-byte)
@@ -234,6 +235,15 @@ void PrintRunSummary(const Dump& d) {
               CounterOr0(d, "overlay.routed_delivered"));
   std::printf("  queries injected: %" PRIu64 "\n",
               CounterOr0(d, "seaweed.queries_injected"));
+  if (d.counters.count("obs.trace.started") != 0) {
+    const uint64_t dropped = CounterOr0(d, "obs.trace.dropped");
+    std::printf("  trace spans: %" PRIu64 " started, %" PRIu64
+                " overwritten%s\n",
+                CounterOr0(d, "obs.trace.started"), dropped,
+                dropped != 0 ? "  WARNING: the ring wrapped, span tables "
+                               "below miss the oldest spans"
+                             : "");
+  }
 }
 
 // The category rows come from the "bw.tx.<cat>" / "bw.rx.<cat>" timeseries.
