@@ -1,15 +1,14 @@
 // Multi-tenant query load driver: open-loop Poisson arrivals of mixed
 // point / range / GROUP BY queries over Anemone data, measuring per-query
 // time-to-first-predictor and time-to-90%-complete at several arrival
-// rates, with the multi-tenant pipeline (dissemination batching, the
-// bounded-divergence predictor cache, time-sliced execution) off vs on.
+// rates.
 //
 // Open-loop means arrivals are scheduled up front from the rate alone:
 // a slow system does not throttle its own offered load, so queueing shows
 // up as latency instead of silently shrinking the workload. Per-query
 // bandwidth flows through the existing obs accounting ("query.<id>.tx_bytes"
-// counters plus the bw.tx.* category timeseries), so batching's effect on
-// per-query dissemination bytes is read straight from the meter.
+// counters plus the bw.tx.* category timeseries), so per-query
+// dissemination bytes are read straight from the meter.
 //
 // Committed results live at BENCH_query_load.json; reproduce with
 //
@@ -22,7 +21,7 @@
 //   SEAWEED_LOAD_SMOKE    when set: small population, capped rates, short
 //                         window — the whole sweep fits a CI wall-clock
 //                         budget of about a minute
-//   SEAWEED_OBS_DUMP      dump the final config's metrics+spans as JSONL
+//   SEAWEED_OBS_DUMP      dump the first rate's metrics+spans as JSONL
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -42,7 +41,6 @@ namespace {
 
 struct LoadConfig {
   double rate_qps;  // Poisson arrival rate, queries per sim-second
-  bool pipeline;    // multi-tenant pipeline (batching+cache+slicing) on?
   int endsystems;
   SimDuration window;  // arrivals occur in [warmup, warmup+window)
   SimDuration drain;   // extra sim time for in-flight queries to finish
@@ -65,8 +63,7 @@ struct ConfigResult {
   int completed90 = 0;
   double p50_ttfp_ms = 0, p99_ttfp_ms = 0;
   double p50_tt90_ms = 0, p99_tt90_ms = 0;
-  double dissem_bytes_per_query = 0;  // plain + batched dissemination
-  double batched_tx_bytes = 0;
+  double dissem_bytes_per_query = 0;
   double query_tx_bytes_avg = 0;  // from the per-query obs counters
   double events_executed = 0;
 };
@@ -106,20 +103,9 @@ ConfigResult RunConfig(const LoadConfig& cfg) {
   ClusterOptions opts;
   opts.WithEndsystems(cfg.endsystems).WithSeed(17).WithKeepTables(true);
   // Faster metadata convergence than the paper's 17.5 min pushes so the
-  // load window starts from a warm, fully-summarized network; identical
-  // across the off/on variants at every rate.
+  // load window starts from a warm, fully-summarized network.
   opts.seaweed().summary_push_period = 2 * kMinute;
   opts.seaweed().result_refresh_period = 5 * kMinute;
-  if (cfg.pipeline) {
-    opts.seaweed().batching = true;
-    // A wider flush window than the 20ms default: at interactive arrival
-    // rates the extra per-hop delay is the price of coalescing descriptors
-    // from queries that arrive within the same window — the latency cost
-    // shows up in p50_ttfp, the payoff in dissem_bytes_per_query.
-    opts.seaweed().batch_flush_delay = 100 * kMillisecond;
-    opts.seaweed().cache_eps = 30 * kSecond;
-    opts.seaweed().exec_slice_batches = 4;
-  }
   opts.anemone().days = 2;
   opts.anemone().workstation_flows_per_day = 20;
   SeaweedCluster cluster(opts.BuildOrDie());
@@ -214,19 +200,14 @@ ConfigResult RunConfig(const LoadConfig& cfg) {
   res.p50_tt90_ms = Percentile(tt90_ms, 50);
   res.p99_tt90_ms = Percentile(tt90_ms, 99);
 
-  const double dissem =
-      static_cast<double>(
-          cluster.meter().CategoryTxBytes(TrafficCategory::kDissemination)) +
-      static_cast<double>(
-          cluster.meter().CategoryTxBytes(TrafficCategory::kBatched));
+  const double dissem = static_cast<double>(
+      cluster.meter().CategoryTxBytes(TrafficCategory::kDissemination));
   res.dissem_bytes_per_query =
       res.injected > 0 ? dissem / res.injected : 0;
-  res.batched_tx_bytes = static_cast<double>(
-      cluster.meter().CategoryTxBytes(TrafficCategory::kBatched));
   res.query_tx_bytes_avg = query_tx_n > 0 ? query_tx_sum / query_tx_n : 0;
 
   static bool dumped = false;
-  if (!dumped && cfg.pipeline) {
+  if (!dumped) {
     bench::DumpObs(cluster.obs(), nullptr);
     dumped = true;
   }
@@ -239,11 +220,9 @@ int main() {
   const bool smoke = std::getenv("SEAWEED_LOAD_SMOKE") != nullptr;
   Header("query_load",
          "open-loop Poisson query load: latency percentiles and per-query "
-         "dissemination bytes, multi-tenant pipeline off vs on");
+         "dissemination bytes");
   Note("mixed workload: point (SrcPort=80), range (Bytes>20000), and");
   Note("GROUP BY SrcPort, rotated per arrival; origins round-robin.");
-  Note("off = stock pipeline; on = batching + 30s predictor cache eps +");
-  Note("4-batch execution slices. Arrivals are identical across variants.");
   if (smoke) Note("SEAWEED_LOAD_SMOKE: reduced population/window for CI.");
 
   LoadConfig base{};
@@ -254,39 +233,33 @@ int main() {
   bench::ResultWriter results("query_load");
   std::vector<std::vector<double>> rows;
 
-  std::printf("%8s %9s %9s %6s %12s %12s %12s %12s %14s %14s\n", "rate_qps",
-              "pipeline", "injected", "shed", "p50_ttfp_ms", "p99_ttfp_ms",
-              "p50_tt90_ms", "p99_tt90_ms", "dissemB/query", "queryB_avg");
+  std::printf("%8s %9s %6s %12s %12s %12s %12s %14s %14s\n", "rate_qps",
+              "injected", "shed", "p50_ttfp_ms", "p99_ttfp_ms", "p50_tt90_ms",
+              "p99_tt90_ms", "dissemB/query", "queryB_avg");
   for (double rate : ParseRates(smoke)) {
-    for (bool pipeline : {false, true}) {
-      LoadConfig cfg = base;
-      cfg.rate_qps = rate;
-      cfg.pipeline = pipeline;
-      ConfigResult r = RunConfig(cfg);
-      std::printf("%8.2f %9s %9d %6d %12.1f %12.1f %12.1f %12.1f %14.1f "
-                  "%14.1f\n",
-                  rate, pipeline ? "on" : "off", r.injected, r.shed,
-                  r.p50_ttfp_ms, r.p99_ttfp_ms, r.p50_tt90_ms, r.p99_tt90_ms,
-                  r.dissem_bytes_per_query, r.query_tx_bytes_avg);
-      std::fflush(stdout);
-      rows.push_back({rate, pipeline ? 1.0 : 0.0,
-                      static_cast<double>(cfg.endsystems),
-                      static_cast<double>(cfg.window) / kSecond,
-                      static_cast<double>(r.arrivals),
-                      static_cast<double>(r.injected),
-                      static_cast<double>(r.shed),
-                      static_cast<double>(r.completed90), r.p50_ttfp_ms,
-                      r.p99_ttfp_ms, r.p50_tt90_ms, r.p99_tt90_ms,
-                      r.dissem_bytes_per_query, r.batched_tx_bytes,
-                      r.query_tx_bytes_avg, r.events_executed});
-    }
+    LoadConfig cfg = base;
+    cfg.rate_qps = rate;
+    ConfigResult r = RunConfig(cfg);
+    std::printf("%8.2f %9d %6d %12.1f %12.1f %12.1f %12.1f %14.1f %14.1f\n",
+                rate, r.injected, r.shed, r.p50_ttfp_ms, r.p99_ttfp_ms,
+                r.p50_tt90_ms, r.p99_tt90_ms, r.dissem_bytes_per_query,
+                r.query_tx_bytes_avg);
+    std::fflush(stdout);
+    rows.push_back({rate, static_cast<double>(cfg.endsystems),
+                    static_cast<double>(cfg.window) / kSecond,
+                    static_cast<double>(r.arrivals),
+                    static_cast<double>(r.injected),
+                    static_cast<double>(r.shed),
+                    static_cast<double>(r.completed90), r.p50_ttfp_ms,
+                    r.p99_ttfp_ms, r.p50_tt90_ms, r.p99_tt90_ms,
+                    r.dissem_bytes_per_query, r.query_tx_bytes_avg,
+                    r.events_executed});
   }
 
   results.Table("load",
-                {"rate_qps", "pipeline", "endsystems", "window_s", "arrivals",
-                 "injected", "shed", "completed90", "p50_ttfp_ms",
-                 "p99_ttfp_ms", "p50_tt90_ms", "p99_tt90_ms",
-                 "dissem_bytes_per_query", "batched_tx_bytes",
+                {"rate_qps", "endsystems", "window_s", "arrivals", "injected",
+                 "shed", "completed90", "p50_ttfp_ms", "p99_ttfp_ms",
+                 "p50_tt90_ms", "p99_tt90_ms", "dissem_bytes_per_query",
                  "query_tx_bytes_avg", "events_executed"},
                 rows);
   results.WriteFromEnv();

@@ -12,13 +12,7 @@
 //     --seed S              master seed                   (default 1)
 //     --transport SPEC      transport decorator stack, outermost first:
 //                           e.g. "serializing", "faulty:plan.json",
-//                           "serializing,faulty:plan.json", or
-//                           "serializing,batching:20,faulty:plan.json"
-//     --batching            coalesce same-hop query descriptors into
-//                           batched wire messages (shorthand for naming
-//                           "batching" in --transport)
-//     --cache-eps SEC       bounded-divergence predictor cache staleness
-//                           bound in seconds (0 = caching off)
+//                           or "serializing,faulty:plan.json"
 //     --max-active-queries N  admission limit on concurrently active
 //                           origin queries (0 = unbounded)
 //     --serializing-transport  shorthand for --transport serializing:
@@ -60,8 +54,6 @@ struct Args {
   double continuous_minutes = 0;
   uint64_t seed = 1;
   std::string transport;
-  bool batching = false;
-  double cache_eps_s = 0;
   int max_active_queries = 0;
   bool encode_in_flight = false;
   std::string obs_dump;
@@ -102,10 +94,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->transport = args->transport.empty()
                             ? "serializing"
                             : "serializing," + args->transport;
-    } else if (flag == "--batching") {
-      args->batching = true;
-    } else if (flag == "--cache-eps" && (v = need_value())) {
-      args->cache_eps_s = std::atof(v);
     } else if (flag == "--max-active-queries" && (v = need_value())) {
       args->max_active_queries = std::atoi(v);
     } else if (flag == "--encode-in-flight") {
@@ -190,14 +178,6 @@ int main(int argc, char** argv) {
       .WithKeepTables(args.endsystems <= 500)
       .WithTransport(args.transport)
       .WithEncodeInFlight(args.encode_in_flight);
-  if (args.batching) options.seaweed().batching = true;
-  if (args.cache_eps_s < 0 || args.max_active_queries < 0) {
-    std::fprintf(stderr,
-                 "--cache-eps and --max-active-queries must be >= 0\n");
-    return 1;
-  }
-  options.seaweed().cache_eps =
-      static_cast<SimDuration>(args.cache_eps_s * kSecond);
   options.seaweed().max_active_queries = args.max_active_queries;
   options.anemone().days = 7;
   options.anemone().workstation_flows_per_day = 40;

@@ -9,7 +9,7 @@
 # SEAWEED_SCALE_SMOKE=1 additionally runs the 10^5-endsystem scale smoke
 # (encoded in-flight messages) with a wall-clock budget; CI's scale job sets
 # it.
-# SEAWEED_LOAD_SMOKE=1 additionally runs the multi-tenant query-load smoke
+# SEAWEED_LOAD_SMOKE=1 additionally runs the open-loop query-load smoke
 # (bench/query_load, capped rates) on both trees; CI's load job sets it.
 # SEAWEED_LIVE_CHAOS=1 additionally runs the process-level chaos harness
 # (scripts/live_chaos_test.sh: SIGKILL + --rejoin + client failover under a
@@ -77,21 +77,6 @@ EOF
     exit 1
   fi
   echo "replays bit-identical"
-  # Same contract with dissemination batching in the stack: outbox flushes
-  # are scheduler events, so a batched chaos run must replay bit-identically
-  # too (batching changes timing and wire framing, never determinism).
-  local bflags=(--endsystems 60 --hours 2 --seed 7
-                --transport "serializing,batching:50,faulty:$plan"
-                --cache-eps 30
-                --query "SELECT COUNT(*), SUM(Bytes) FROM Flow")
-  echo "--- batched chaos replay determinism ($build) ---"
-  "$simbin" "${bflags[@]}" > "$build/sim_chaos_batched_a.out"
-  "$simbin" "${bflags[@]}" > "$build/sim_chaos_batched_b.out"
-  if ! diff -u "$build/sim_chaos_batched_a.out" "$build/sim_chaos_batched_b.out"; then
-    echo "FAIL: batched chaos run is not seed-deterministic" >&2
-    exit 1
-  fi
-  echo "batched replays bit-identical"
 }
 
 # Sketch smoke: the documented accuracy floors (HLL relative error <= 2%
@@ -173,7 +158,7 @@ scale_smoke() {
   tail -2 "$build/sim_scale_smoke.out"
 }
 
-# Multi-tenant load smoke: bench/query_load in SEAWEED_LOAD_SMOKE form
+# Open-loop load smoke: bench/query_load in SEAWEED_LOAD_SMOKE form
 # (48 endsystems, 20 s arrival window, capped rates) with a wall-clock
 # budget. $2 narrows the rate list for slow (sanitizer) trees. Gated behind
 # SEAWEED_LOAD_SMOKE; CI's load job sets it.
@@ -229,9 +214,9 @@ chaos_replay build-asan
 sketch_smoke build-asan
 loopback_smoke build-asan 19620
 if [[ "${SEAWEED_LOAD_SMOKE:-0}" == "1" ]]; then
-  # Sanitizer instrumentation makes the sweep ~4x slower; one rate, both
-  # pipeline variants, is plenty to catch ASan/UBSan findings in the
-  # batching/caching/slicing paths.
+  # Sanitizer instrumentation makes the sweep ~4x slower; one rate is
+  # plenty to catch ASan/UBSan findings in the concurrent-query and
+  # admission paths.
   load_smoke build-asan 4 360
 fi
 

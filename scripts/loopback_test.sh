@@ -7,14 +7,11 @@
 # CLI itself enforces that the completeness-predictor stream is monotone
 # (exit 3 on a violation).
 #
-# Three phases:
-#   1. single query, default knobs — the strict-no-op baseline differential
+# Two phases:
+#   1. single query — the baseline differential
 #   2. CONCURRENCY queries submitted simultaneously through shard 0's
 #      control port — the multi-tenant path, each FINAL diffed against its
 #      own --reference run
-#   3. same concurrent mix against a fresh cluster started with --batching
-#      --cache-eps 30 — dissemination batching and the bounded-divergence
-#      predictor cache must not change a single output byte
 #
 # Integer aggregates (COUNT/SUM/MIN/MAX over int64 columns) are exact under
 # any merge order, so the live cluster — whose message arrival order is NOT
@@ -34,9 +31,8 @@
 #   BUILD_DIR defaults to "build".
 # Env:
 #   SEAWEED_LOOPBACK_BASE_PORT  first UDP port (control ports are
-#                               BASE+100..BASE+100+SHARDS-1; phase 3 uses
-#                               BASE+40 the same way). When unset, the
-#                               script probes candidate ranges and picks
+#                               BASE+100..BASE+100+SHARDS-1). When unset,
+#                               the script probes candidate ranges and picks
 #                               the first one that is entirely free, so a
 #                               lingering daemon from an aborted run can't
 #                               wedge the next one.
@@ -63,21 +59,20 @@ JOIN_TIMEOUT_S="${SEAWEED_LOOPBACK_JOIN_TIMEOUT_S:-60}"
 QUERY_TIMEOUT_S="${SEAWEED_LOOPBACK_QUERY_TIMEOUT_S:-120}"
 
 # True when every UDP and TCP port this run needs, at base port $1, can be
-# bound right now (both phases: udp BASE/BASE+40, control +100/+140).
+# bound right now (udp BASE.., control BASE+100..).
 ports_free() {
   python3 - "$1" "$SHARDS" <<'EOF'
 import socket, sys
 base, shards = int(sys.argv[1]), int(sys.argv[2])
 socks = []
 try:
-    for off in (0, 40):
-        for s in range(shards):
-            u = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            u.bind(("127.0.0.1", base + off + s))
-            socks.append(u)
-            t = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            t.bind(("127.0.0.1", base + off + 100 + s))
-            socks.append(t)
+    for s in range(shards):
+        u = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        u.bind(("127.0.0.1", base + s))
+        socks.append(u)
+        t = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        t.bind(("127.0.0.1", base + 100 + s))
+        socks.append(t)
 except OSError:
     sys.exit(1)
 finally:
@@ -160,12 +155,11 @@ for i in "${!CONC_SQL[@]}"; do
       --query "${CONC_SQL[$i]}" --salt "lb-q$i" > "$WORK/ref_q$i.out"
 done
 
-# Starts SHARDS daemons on $1 (udp base port; control ports $1+100..) with
-# any extra flags, dumping obs JSONL with prefix $2, and blocks until every
-# endsystem joins. Populates PIDS.
+# Starts SHARDS daemons on $1 (udp base port; control ports $1+100..),
+# dumping obs JSONL with prefix $2, and blocks until every endsystem joins.
+# Populates PIDS.
 start_shards() {
   local base=$1 obs_prefix=$2
-  shift 2
   # All shards must agree on the wall-clock epoch or their Transport::Now()
   # values (and therefore trace timestamps) diverge.
   local epoch_us=$(( $(date +%s) * 1000000 ))
@@ -173,7 +167,7 @@ start_shards() {
   for (( shard = 0; shard < SHARDS; shard++ )); do
     "$DAEMON" --endsystems "$N" --shards "$SHARDS" --shard "$shard" \
         --base-port "$base" --seed "$SEED" --epoch-us "$epoch_us" \
-        --profile fast --obs-dump "$WORK/${obs_prefix}$shard.jsonl" "$@" \
+        --profile fast --obs-dump "$WORK/${obs_prefix}$shard.jsonl" \
         > "$WORK/${obs_prefix}$shard.out" 2> "$WORK/${obs_prefix}$shard.err" &
     PIDS+=($!)
   done
@@ -228,7 +222,7 @@ stop_shards() {
 
 # Submits every CONC_SQL query concurrently through shard 0 of the cluster
 # on udp base port $1 and diffs each FINAL against its reference. Output
-# prefix $2 keeps phases 2 and 3 apart in $WORK.
+# files in $WORK are named with prefix $2.
 run_concurrent() {
   local base=$1 prefix=$2
   local qpids=() i rc fail=0
@@ -300,12 +294,5 @@ for (( shard = 0; shard < SHARDS; shard++ )); do
   fi
 done
 echo "obs JSONL dumped for all shards"
-
-BATCH_PORT=$((BASE_PORT + 40))
-echo "--- phase 3: fresh cluster with --batching --cache-eps 30 (udp $BATCH_PORT+) ---"
-start_shards "$BATCH_PORT" obs_batched_shard --batching --cache-eps 30
-run_concurrent "$BATCH_PORT" batched
-stop_shards "$BATCH_PORT"
-echo "batching + caching changed no output byte"
 
 echo "loopback test passed"

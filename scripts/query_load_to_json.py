@@ -6,9 +6,7 @@ Usage: scripts/query_load_to_json.py <raw.json> [note...] > BENCH_query_load.jso
 Extra arguments are joined into a free-form "notes" field.
 
 The raw file is what SEAWEED_BENCH_OUT captures: a "load" table with one
-row per (rate_qps, pipeline) configuration. The committed form groups rows
-by arrival rate with one entry per pipeline variant, and adds the derived
-dissemination-byte saving so the batching win is readable at a glance.
+row per arrival rate. The committed form keys the rows by rate.
 """
 import datetime
 import json
@@ -23,13 +21,9 @@ def main() -> None:
     rates: dict = {}
     for row in table["rows"]:
         r = dict(zip(cols, row))
-        key = f"{r['rate_qps']:g}"
-        entry = rates.setdefault(key, {
+        rates[f"{r['rate_qps']:g}"] = {
             "endsystems": int(r["endsystems"]),
             "window_s": r["window_s"],
-            "variants": {},
-        })
-        entry["variants"]["pipeline_on" if r["pipeline"] else "pipeline_off"] = {
             "arrivals": int(r["arrivals"]),
             "injected": int(r["injected"]),
             "shed": int(r["shed"]),
@@ -39,27 +33,16 @@ def main() -> None:
             "p50_tt90_ms": round(r["p50_tt90_ms"], 1),
             "p99_tt90_ms": round(r["p99_tt90_ms"], 1),
             "dissem_bytes_per_query": round(r["dissem_bytes_per_query"], 1),
-            "batched_tx_bytes": int(r["batched_tx_bytes"]),
             "query_tx_bytes_avg": round(r["query_tx_bytes_avg"], 1),
         }
-    for entry in rates.values():
-        off = entry["variants"].get("pipeline_off")
-        on = entry["variants"].get("pipeline_on")
-        if off and on and off["dissem_bytes_per_query"] > 0:
-            entry["dissem_bytes_saving_pct"] = round(
-                100.0 * (1 - on["dissem_bytes_per_query"]
-                         / off["dissem_bytes_per_query"]), 2)
     out = {
         "benchmark": "query_load",
         "description": (
             "Open-loop Poisson arrivals of mixed point/range/GROUP BY "
             "queries over Anemone on a fully-online cluster; per-query "
             "time-to-first-predictor and time-to-90%-complete percentiles, "
-            "and per-query dissemination bytes (bw.tx.dissemination + "
-            "bw.tx.batched), with the multi-tenant pipeline (dissemination "
-            "batching with a 100ms flush window, 30s bounded-divergence "
-            "predictor cache, 4-batch execution slices) off vs on. "
-            "Identical arrival schedules across variants. Reproduce: "
+            "and per-query dissemination bytes (bw.tx.dissemination). "
+            "Reproduce: "
             "SEAWEED_BENCH_OUT=raw.json ./build/bench/query_load, then "
             "scripts/query_load_to_json.py raw.json (see EXPERIMENTS.md)."
         ),

@@ -165,15 +165,6 @@ Result<AggregateResult> Database::ExecuteAggregateCached(
   return result;
 }
 
-Result<std::unique_ptr<AggregateCursor>> Database::BeginAggregateCursor(
-    const SelectQuery& query, PlanCache* cache, const std::string& key) const {
-  const Table* table = FindTable(query.table);
-  if (!table) return Status::NotFound("no such table: " + query.table);
-  SEAWEED_ASSIGN_OR_RETURN(const CompiledQuery* plan,
-                           cache->GetOrBind(key, *table, query));
-  return std::make_unique<AggregateCursor>(plan, table);
-}
-
 Result<AggregateResult> Database::ExecuteAggregateSql(
     const std::string& sql, const ParseOptions& options) const {
   SEAWEED_ASSIGN_OR_RETURN(SelectQuery query, ParseSelect(sql, options));

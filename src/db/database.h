@@ -77,12 +77,6 @@ class Database {
                                                  PlanCache* cache,
                                                  const std::string& key) const;
 
-  // Begins a resumable (time-sliced) execution bound through `cache`. The
-  // cursor references this database's table and the cache-owned plan: both
-  // must outlive it (and the plan must not be re-bound under `key`).
-  Result<std::unique_ptr<AggregateCursor>> BeginAggregateCursor(
-      const SelectQuery& query, PlanCache* cache, const std::string& key) const;
-
   // Exact count of rows matching the query (ground truth / available-
   // endsystem row counts).
   Result<int64_t> CountMatching(const SelectQuery& query) const;

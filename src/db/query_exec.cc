@@ -650,174 +650,177 @@ void CompiledQuery::AccumulateUngroupedDense(const Table& table,
   }
 }
 
-Result<AggregateResult> CompiledQuery::Execute(const Table& table) const {
-  AggregateCursor cursor(this, &table);
-  cursor.Step(std::numeric_limits<size_t>::max());
-  return cursor.Take();
+void CompiledQuery::AccumulateDenseGroups(const Table& table,
+                                          const SelVector& sel,
+                                          const uint32_t* group_codes,
+                                          AggState* dense_states,
+                                          int64_t* dense_rows,
+                                          AggregateResult* result) const {
+  const size_t arity = inputs_.size();
+  // Each selected row's accumulator offset, gathered once per batch and
+  // shared by every select item.
+  uint32_t slot[kBatchSize];
+  for (uint32_t i = 0; i < sel.count; ++i) {
+    const uint32_t code = group_codes[sel.rows[i]];
+    ++dense_rows[code];
+    slot[i] = static_cast<uint32_t>(code * arity);
+  }
+  for (size_t item = 0; item < arity; ++item) {
+    const AggInput& in = inputs_[item];
+    if (in.is_group_column) continue;  // rendered from the group key
+    AggState* states = dense_states + item;
+    if (in.column < 0 || in.type == ColumnType::kString) {
+      for (uint32_t i = 0; i < sel.count; ++i) states[slot[i]].AddCountOnly();
+      result->states[item].count += sel.count;
+      continue;
+    }
+    const Column& col = table.column(static_cast<size_t>(in.column));
+    AggState* global = &result->states[item];
+    if (in.type == ColumnType::kInt64) {
+      const int64_t* p = col.ints().data();
+      for (uint32_t i = 0; i < sel.count; ++i) {
+        const double v = static_cast<double>(p[sel.rows[i]]);
+        states[slot[i]].Add(v);
+        global->Add(v);
+      }
+    } else {
+      const double* p = col.doubles().data();
+      for (uint32_t i = 0; i < sel.count; ++i) {
+        const double v = p[sel.rows[i]];
+        states[slot[i]].Add(v);
+        global->Add(v);
+      }
+    }
+  }
 }
 
-// ---------------------------------------------------------------------------
-// Resumable cursor (time-sliced execution)
-// ---------------------------------------------------------------------------
+// Fallback grouping (numeric, very-high-cardinality, or sketch-carrying
+// group keys): Value-keyed sorted groups over the selection vector.
+void CompiledQuery::AccumulateGroups(const Table& table,
+                                     const Column& group_col,
+                                     const SelVector& sel,
+                                     AggregateResult* result) const {
+  const size_t arity = inputs_.size();
+  for (uint32_t i = 0; i < sel.count; ++i) {
+    const uint32_t row = sel.rows[i];
+    Value key = group_col.ValueAt(row);
+    std::vector<AggState>& gstates = result->GroupStates(key, arity);
+    for (size_t item = 0; item < arity; ++item) {
+      const AggInput& in = inputs_[item];
+      if (in.is_group_column) continue;
+      AggState& gs = gstates[item];
+      if (in.func->IsSketch() && gs.sketch == nullptr) {
+        in.func->InitState(gs, in.param);
+      }
+      if (in.column < 0 || in.type == ColumnType::kString) {
+        if (in.func->IsSketch() && in.column >= 0) {
+          const Column& col = table.column(static_cast<size_t>(in.column));
+          const std::string& s = col.DictEntry(col.StringCodeAt(row));
+          gs.AddString(s);
+          result->states[item].AddString(s);
+        } else {
+          gs.AddCountOnly();
+          result->states[item].AddCountOnly();
+        }
+        continue;
+      }
+      const Column& col = table.column(static_cast<size_t>(in.column));
+      const double v = in.type == ColumnType::kInt64
+                           ? static_cast<double>(col.Int64At(row))
+                           : col.DoubleAt(row);
+      gs.Add(v);
+      result->states[item].Add(v);
+    }
+  }
+}
 
-AggregateCursor::AggregateCursor(const CompiledQuery* plan, const Table* table)
-    : plan_(plan), table_(table) {
-  result_.states.resize(plan_->inputs_.size());
-  result_.endsystems = 1;
-  total_rows_ = table_->num_rows();
-  const size_t arity = plan_->inputs_.size();
+Result<AggregateResult> CompiledQuery::Execute(const Table& table) const {
+  const size_t arity = inputs_.size();
+  AggregateResult result;
+  result.states.resize(arity);
+  result.endsystems = 1;
   for (size_t i = 0; i < arity; ++i) {
-    const CompiledQuery::AggInput& in = plan_->inputs_[i];
-    if (in.func != nullptr) in.func->InitState(result_.states[i], in.param);
+    const AggInput& in = inputs_[i];
+    if (in.func != nullptr) in.func->InitState(result.states[i], in.param);
   }
 
-  group_col_ = plan_->group_column_ >= 0
-                   ? &table_->column(static_cast<size_t>(plan_->group_column_))
-                   : nullptr;
+  const Column* group_col =
+      group_column_ >= 0 ? &table.column(static_cast<size_t>(group_column_))
+                         : nullptr;
   // Sketch states don't fit the flat dense-accumulator array (per-code
   // sketches would be allocated for absent groups); sketch queries take
   // the Value-keyed path, exact queries keep the fast path unchanged.
-  dense_group_ = group_col_ != nullptr &&
-                 plan_->group_type_ == ColumnType::kString &&
-                 group_col_->dict_size() <= kDenseGroupMaxDict &&
-                 !plan_->any_sketch_;
+  const bool dense_group = group_col != nullptr &&
+                           group_type_ == ColumnType::kString &&
+                           group_col->dict_size() <= kDenseGroupMaxDict &&
+                           !any_sketch_;
   // Dense GROUP BY accumulators: one AggState per (dict code, select item)
   // plus a per-code matched-row count deciding which groups exist.
-  if (dense_group_) {
-    dense_states_.resize(group_col_->dict_size() * arity);
-    dense_rows_.resize(group_col_->dict_size(), 0);
-    group_codes_ = group_col_->codes().data();
+  std::vector<AggState> dense_states;
+  std::vector<int64_t> dense_rows;
+  const uint32_t* group_codes = nullptr;
+  if (dense_group) {
+    dense_states.resize(group_col->dict_size() * arity);
+    dense_rows.resize(group_col->dict_size(), 0);
+    group_codes = group_col->codes().data();
   }
-  no_filter_ = plan_->pred_.always_true();
-}
+  const bool no_filter = pred_.always_true();
 
-bool AggregateCursor::Step(size_t max_batches) {
-  const Table& table = *table_;
-  const size_t arity = plan_->inputs_.size();
-  for (size_t b = 0; b < max_batches && next_row_ < total_rows_; ++b) {
-    const uint32_t start = static_cast<uint32_t>(next_row_);
+  const size_t total_rows = table.num_rows();
+  SelVector sel;
+  for (size_t next_row = 0; next_row < total_rows;) {
+    const uint32_t start = static_cast<uint32_t>(next_row);
     const uint32_t len = static_cast<uint32_t>(
-        std::min<size_t>(kBatchSize, total_rows_ - next_row_));
-    next_row_ += len;
-    if (no_filter_ && group_col_ == nullptr) {
-      result_.rows_matched += len;
-      plan_->AccumulateUngroupedDense(table, start, len, &result_);
+        std::min<size_t>(kBatchSize, total_rows - next_row));
+    next_row += len;
+    if (no_filter && group_col == nullptr) {
+      result.rows_matched += len;
+      AccumulateUngroupedDense(table, start, len, &result);
       continue;
     }
-    if (no_filter_) {
-      SelAll(start, len, &sel_);
+    if (no_filter) {
+      SelAll(start, len, &sel);
     } else {
-      plan_->pred_.FilterBatch(table, start, len, &sel_);
+      pred_.FilterBatch(table, start, len, &sel);
     }
-    result_.rows_matched += sel_.count;
-    if (sel_.count == 0) continue;
+    result.rows_matched += sel.count;
+    if (sel.count == 0) continue;
 
-    if (group_col_ == nullptr) {
-      plan_->AccumulateUngrouped(table, sel_, &result_);
+    if (group_col == nullptr) {
+      AccumulateUngrouped(table, sel, &result);
       continue;
     }
 
-    if (dense_group_) {
-      for (uint32_t i = 0; i < sel_.count; ++i) {
-        ++dense_rows_[group_codes_[sel_.rows[i]]];
-      }
-      for (size_t item = 0; item < arity; ++item) {
-        const CompiledQuery::AggInput& in = plan_->inputs_[item];
-        if (in.is_group_column) continue;  // rendered from the group key
-        if (in.column < 0 || in.type == ColumnType::kString) {
-          for (uint32_t i = 0; i < sel_.count; ++i) {
-            dense_states_[group_codes_[sel_.rows[i]] * arity + item]
-                .AddCountOnly();
-          }
-          result_.states[item].count += sel_.count;
-          continue;
-        }
-        const Column& col = table.column(static_cast<size_t>(in.column));
-        AggState* global = &result_.states[item];
-        if (in.type == ColumnType::kInt64) {
-          const int64_t* p = col.ints().data();
-          for (uint32_t i = 0; i < sel_.count; ++i) {
-            const uint32_t row = sel_.rows[i];
-            const double v = static_cast<double>(p[row]);
-            dense_states_[group_codes_[row] * arity + item].Add(v);
-            global->Add(v);
-          }
-        } else {
-          const double* p = col.doubles().data();
-          for (uint32_t i = 0; i < sel_.count; ++i) {
-            const uint32_t row = sel_.rows[i];
-            const double v = p[row];
-            dense_states_[group_codes_[row] * arity + item].Add(v);
-            global->Add(v);
-          }
-        }
-      }
-      continue;
-    }
-
-    // Fallback grouping (numeric, very-high-cardinality, or sketch-carrying
-    // group keys): Value-keyed sorted groups over the selection vector.
-    for (uint32_t i = 0; i < sel_.count; ++i) {
-      const uint32_t row = sel_.rows[i];
-      Value key = group_col_->ValueAt(row);
-      std::vector<AggState>& gstates = result_.GroupStates(key, arity);
-      for (size_t item = 0; item < arity; ++item) {
-        const CompiledQuery::AggInput& in = plan_->inputs_[item];
-        if (in.is_group_column) continue;
-        AggState& gs = gstates[item];
-        if (in.func->IsSketch() && gs.sketch == nullptr) {
-          in.func->InitState(gs, in.param);
-        }
-        if (in.column < 0 || in.type == ColumnType::kString) {
-          if (in.func->IsSketch() && in.column >= 0) {
-            const Column& col = table.column(static_cast<size_t>(in.column));
-            const std::string& s = col.DictEntry(col.StringCodeAt(row));
-            gs.AddString(s);
-            result_.states[item].AddString(s);
-          } else {
-            gs.AddCountOnly();
-            result_.states[item].AddCountOnly();
-          }
-          continue;
-        }
-        const Column& col = table.column(static_cast<size_t>(in.column));
-        const double v = in.type == ColumnType::kInt64
-                             ? static_cast<double>(col.Int64At(row))
-                             : col.DoubleAt(row);
-        gs.Add(v);
-        result_.states[item].Add(v);
-      }
+    if (dense_group) {
+      AccumulateDenseGroups(table, sel, group_codes, dense_states.data(),
+                            dense_rows.data(), &result);
+    } else {
+      AccumulateGroups(table, *group_col, sel, &result);
     }
   }
-  return done();
-}
 
-AggregateResult AggregateCursor::Take() {
-  const size_t arity = plan_->inputs_.size();
-  if (dense_group_) {
+  if (dense_group) {
     // Emit only codes with matching rows, sorted by key (dictionary order
     // is insertion order, not value order).
-    const Column* group_col = group_col_;
     std::vector<uint32_t> present;
-    for (uint32_t code = 0; code < dense_rows_.size(); ++code) {
-      if (dense_rows_[code] > 0) present.push_back(code);
+    for (uint32_t code = 0; code < dense_rows.size(); ++code) {
+      if (dense_rows[code] > 0) present.push_back(code);
     }
     std::sort(present.begin(), present.end(),
               [group_col](uint32_t a, uint32_t b) {
                 return group_col->DictEntry(a) < group_col->DictEntry(b);
               });
-    result_.groups.reserve(present.size());
+    result.groups.reserve(present.size());
     for (uint32_t code : present) {
-      result_.groups.emplace_back(
+      result.groups.emplace_back(
           Value(group_col->DictEntry(code)),
           std::vector<AggState>(
-              dense_states_.begin() + static_cast<ptrdiff_t>(code * arity),
-              dense_states_.begin() +
+              dense_states.begin() + static_cast<ptrdiff_t>(code * arity),
+              dense_states.begin() +
                   static_cast<ptrdiff_t>((code + 1) * arity)));
     }
-    dense_group_ = false;  // groups emitted; Take() is one-shot
   }
-  return std::move(result_);
+  return result;
 }
 
 // ---------------------------------------------------------------------------

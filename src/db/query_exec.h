@@ -235,6 +235,14 @@ class CompiledQuery {
                            AggregateResult* result) const;
   void AccumulateUngroupedDense(const Table& table, uint32_t start,
                                 uint32_t len, AggregateResult* result) const;
+  // GROUP BY over a small string dictionary: flat per-(code, item)
+  // accumulators plus per-code matched-row counts, both indexed by code.
+  void AccumulateDenseGroups(const Table& table, const SelVector& sel,
+                             const uint32_t* group_codes,
+                             AggState* dense_states, int64_t* dense_rows,
+                             AggregateResult* result) const;
+  void AccumulateGroups(const Table& table, const Column& group_col,
+                        const SelVector& sel, AggregateResult* result) const;
 
   BatchPredicate pred_;
   std::vector<AggInput> inputs_;
@@ -243,41 +251,6 @@ class CompiledQuery {
   size_t num_columns_ = 0;  // schema arity at bind time (re-validation)
   bool any_sketch_ = false;  // disables the dense GROUP BY fast path
 
-  friend class AggregateCursor;
-};
-
-// Resumable execution of a CompiledQuery (SaGe-style time slicing): Step()
-// processes up to `max_batches` ~1024-row batches and returns whether the
-// scan has finished; Take() finalizes (dense GROUP BY emit) and yields the
-// result. Execute() is Step-to-completion, so sliced and one-shot runs
-// accumulate in the same batch order and produce bit-identical results.
-// `plan` and `table` must outlive the cursor.
-class AggregateCursor {
- public:
-  AggregateCursor(const CompiledQuery* plan, const Table* table);
-
-  // Advances the scan; returns true once all rows have been consumed.
-  bool Step(size_t max_batches);
-  bool done() const { return next_row_ >= total_rows_; }
-  // Valid once done(); consumes the accumulated result.
-  AggregateResult Take();
-
-  uint64_t rows_scanned() const { return next_row_; }
-  size_t total_rows() const { return total_rows_; }
-
- private:
-  const CompiledQuery* plan_;
-  const Table* table_;
-  size_t total_rows_ = 0;
-  size_t next_row_ = 0;
-  AggregateResult result_;
-  const Column* group_col_ = nullptr;
-  bool dense_group_ = false;
-  bool no_filter_ = false;
-  std::vector<AggState> dense_states_;
-  std::vector<int64_t> dense_rows_;
-  const uint32_t* group_codes_ = nullptr;
-  SelVector sel_;
 };
 
 // Cache of compiled plans keyed by an opaque caller-chosen key (SeaweedNode

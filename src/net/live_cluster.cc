@@ -105,14 +105,6 @@ std::unique_ptr<TransportStack> LiveCluster::BuildTransportStack() {
       // The base this cluster always provides; naming it (as the innermost
       // layer — ParseTransportSpec enforces that) is allowed for symmetry
       // with the simulation's spec strings and adds nothing.
-    } else if (layer.kind == "batching") {
-      // Config-level, not a wire decorator: nodes read config_.seaweed at
-      // construction, which happens after this stack is built.
-      config_.seaweed.batching = true;
-      if (!layer.arg.empty()) {
-        config_.seaweed.batch_flush_delay =
-            static_cast<SimDuration>(std::stoul(layer.arg)) * kMillisecond;
-      }
     } else {
       SEAWEED_CHECK_MSG(false, "unknown transport layer: " + layer.kind);
     }

@@ -108,18 +108,7 @@ std::unique_ptr<TransportStack> SeaweedCluster::BuildTransportStack() {
       SEAWEED_CHECK_MSG(false,
                         "transport layer \"udp\" is the live socket "
                         "transport and only seaweedd can host it; "
-                        "simulations use: serializing, faulty, batching");
-    } else if (layer.kind == "batching") {
-      // Not a wire decorator: shared-fate dissemination batching lives in
-      // SeaweedNode's per-contact outboxes. Naming the layer switches it
-      // on for every node — config_.seaweed is read at node construction,
-      // which happens after this stack is built.
-      config_.seaweed.batching = true;
-      if (!layer.arg.empty()) {
-        // ParseTransportSpec already validated digits and >= 1.
-        config_.seaweed.batch_flush_delay =
-            static_cast<SimDuration>(std::stoul(layer.arg)) * kMillisecond;
-      }
+                        "simulations use: serializing, faulty");
     } else {
       SEAWEED_CHECK_MSG(false, "unknown transport layer: " + layer.kind);
     }

@@ -51,17 +51,8 @@ Result<ClusterConfig> ClusterOptions::Build() const {
       c.seaweed.max_retry_backoff < c.seaweed.result_ack_timeout) {
     return Bad("seaweed.max_retry_backoff must be >= the base timeouts");
   }
-  if (c.seaweed.batch_flush_delay <= 0) {
-    return Bad("seaweed.batch_flush_delay must be > 0");
-  }
-  if (c.seaweed.cache_eps < 0) {
-    return Bad("seaweed.cache_eps must be >= 0");
-  }
-  if (c.seaweed.max_active_queries < 0 || c.seaweed.exec_slice_batches < 0) {
-    return Bad("seaweed admission/slicing limits must be >= 0");
-  }
-  if (c.seaweed.exec_slice_yield <= 0) {
-    return Bad("seaweed.exec_slice_yield must be > 0");
+  if (c.seaweed.max_active_queries < 0) {
+    return Bad("seaweed.max_active_queries must be >= 0");
   }
   if (c.topology.num_core_routers < 1 || c.topology.regions_per_core < 1 ||
       c.topology.branches_per_region < 1) {

@@ -33,8 +33,6 @@ void CompletenessPredictor::Merge(const CompletenessPredictor& other) {
     buckets_[static_cast<size_t>(i)] += other.buckets_[static_cast<size_t>(i)];
   }
   endsystems_ += other.endsystems_;
-  // The aggregated predictor is as stale as its stalest contribution.
-  if (other.divergence_s_ > divergence_s_) divergence_s_ = other.divergence_s_;
 }
 
 double CompletenessPredictor::ExpectedRowsBy(SimDuration delta) const {
@@ -72,7 +70,6 @@ SimDuration CompletenessPredictor::HorizonForCompleteness(double target) const {
 void CompletenessPredictor::Encode(Writer& w) const {
   for (double b : buckets_) w.PutDouble(b);
   w.PutI64(endsystems_);
-  w.PutVarint(divergence_s_);
 }
 
 Result<CompletenessPredictor> CompletenessPredictor::Decode(Reader& r) {
@@ -81,11 +78,6 @@ Result<CompletenessPredictor> CompletenessPredictor::Decode(Reader& r) {
     SEAWEED_ASSIGN_OR_RETURN(b, r.GetDouble());
   }
   SEAWEED_ASSIGN_OR_RETURN(p.endsystems_, r.GetI64());
-  SEAWEED_ASSIGN_OR_RETURN(uint64_t div_s, r.GetVarint());
-  if (div_s > UINT32_MAX) {
-    return Status::ParseError("predictor divergence overflows uint32");
-  }
-  p.divergence_s_ = static_cast<uint32_t>(div_s);
   return p;
 }
 

@@ -56,13 +56,6 @@ class CompletenessPredictor {
   void AddEndsystems(int64_t n) { endsystems_ += n; }
   int64_t endsystems() const { return endsystems_; }
 
-  // Bounded-divergence caching (ε): a predictor served from a cache carries
-  // how stale its underlying metadata scan was, in seconds. Merging takes
-  // the max, so the aggregated predictor at the origin reports the worst
-  // staleness anywhere in its tree. 0 = computed fresh.
-  void SetDivergenceS(uint32_t s) { divergence_s_ = s; }
-  uint32_t divergence_s() const { return divergence_s_; }
-
   // Bucket-wise sum (aggregation in the distribution tree).
   void Merge(const CompletenessPredictor& other);
 
@@ -87,7 +80,6 @@ class CompletenessPredictor {
  private:
   std::array<double, kBuckets> buckets_{};
   int64_t endsystems_ = 0;
-  uint32_t divergence_s_ = 0;
 };
 
 }  // namespace seaweed

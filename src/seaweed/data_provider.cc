@@ -55,16 +55,6 @@ Result<db::AggregateResult> AnemoneDataProvider::ExecuteCached(
   return database->ExecuteAggregateCached(query, cache, key);
 }
 
-Result<SlicedExecution> AnemoneDataProvider::BeginSlicedExecution(
-    int endsystem, const db::SelectQuery& query, db::PlanCache* cache,
-    const std::string& key) {
-  SlicedExecution exec;
-  db::Database* database = GetOrBuild(endsystem, &exec.owned_db);
-  SEAWEED_ASSIGN_OR_RETURN(exec.cursor,
-                           database->BeginAggregateCursor(query, cache, key));
-  return exec;
-}
-
 Result<int64_t> AnemoneDataProvider::CountMatching(
     int endsystem, const db::SelectQuery& query) {
   std::unique_ptr<db::Database> tmp;
@@ -99,16 +89,6 @@ Result<db::AggregateResult> StaticDataProvider::ExecuteCached(
     const std::string& key) {
   return dbs_[static_cast<size_t>(endsystem)]->ExecuteAggregateCached(
       query, cache, key);
-}
-
-Result<SlicedExecution> StaticDataProvider::BeginSlicedExecution(
-    int endsystem, const db::SelectQuery& query, db::PlanCache* cache,
-    const std::string& key) {
-  SlicedExecution exec;
-  SEAWEED_ASSIGN_OR_RETURN(
-      exec.cursor, dbs_[static_cast<size_t>(endsystem)]->BeginAggregateCursor(
-                       query, cache, key));
-  return exec;
 }
 
 uint32_t StaticDataProvider::SummaryWireBytes(int endsystem) {

@@ -18,14 +18,11 @@
 
 namespace seaweed {
 
-// A resumable execution handle for time-sliced local scans. When the
-// provider regenerates tables per execution (keep_tables=false), `owned_db`
-// holds the database the cursor scans so it stays alive across slices;
-// providers that keep tables resident leave it null.
-struct SlicedExecution {
-  std::unique_ptr<db::Database> owned_db;
-  std::unique_ptr<db::AggregateCursor> cursor;
-};
+// Vestige of the removed time-sliced execution path: no provider implements
+// it and nothing calls it. It stays only because perfbench/sim_workload.cc's
+// decorator overrides BeginSlicedExecution; delete both with the next change
+// to the benchmark.
+struct SlicedExecution {};
 
 class DataProvider {
  public:
@@ -50,10 +47,7 @@ class DataProvider {
     return Execute(endsystem, query);
   }
 
-  // Begins a time-sliced execution: the caller repeatedly Step()s the
-  // returned cursor, yielding between slices. The default is unsupported —
-  // callers fall back to the one-shot ExecuteCached path. The cursor's plan
-  // lives in `cache` under `key` and must not be re-bound while it runs.
+  // Always unsupported; see SlicedExecution.
   virtual Result<SlicedExecution> BeginSlicedExecution(
       int endsystem, const db::SelectQuery& query, db::PlanCache* cache,
       const std::string& key) {
@@ -61,7 +55,7 @@ class DataProvider {
     (void)query;
     (void)cache;
     (void)key;
-    return Status::Unavailable("sliced execution unsupported");
+    return Status::Unavailable("sliced execution removed");
   }
 
   // Bytes charged on the wire when this endsystem's summary is pushed. May
@@ -83,10 +77,6 @@ class AnemoneDataProvider : public DataProvider {
                                             const db::SelectQuery& query,
                                             db::PlanCache* cache,
                                             const std::string& key) override;
-  Result<SlicedExecution> BeginSlicedExecution(int endsystem,
-                                               const db::SelectQuery& query,
-                                               db::PlanCache* cache,
-                                               const std::string& key) override;
   uint32_t SummaryWireBytes(int endsystem) override;
 
   // Ground truth helper for experiments: exact matching row count.
@@ -114,10 +104,6 @@ class StaticDataProvider : public DataProvider {
                                             const db::SelectQuery& query,
                                             db::PlanCache* cache,
                                             const std::string& key) override;
-  Result<SlicedExecution> BeginSlicedExecution(int endsystem,
-                                               const db::SelectQuery& query,
-                                               db::PlanCache* cache,
-                                               const std::string& key) override;
   uint32_t SummaryWireBytes(int endsystem) override;
 
   db::Database* database(int endsystem) { return dbs_[static_cast<size_t>(endsystem)].get(); }

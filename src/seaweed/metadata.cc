@@ -52,7 +52,6 @@ bool MetadataStore::Upsert(const Metadata& metadata) {
     records_.Put(metadata.owner,
                  Record{metadata.owner, metadata.version, w.bytes(),
                         /*down_since=*/-1, /*acquired_at=*/now_});
-    ++epoch_;
     return true;
   }
   if (metadata.version < rec->version) return false;
@@ -61,23 +60,18 @@ bool MetadataStore::Upsert(const Metadata& metadata) {
   rec->version = metadata.version;
   rec->encoded = w.bytes();
   rec->down_since = -1;  // a push implies the owner is alive
-  ++epoch_;
   return true;
 }
 
 void MetadataStore::MarkDown(const NodeId& owner, SimTime now) {
   Record* rec = records_.Find(owner);
   if (rec == nullptr) return;
-  if (rec->down_since < 0) {
-    rec->down_since = now;
-    ++epoch_;
-  }
+  if (rec->down_since < 0) rec->down_since = now;
 }
 
 void MetadataStore::MarkUp(const NodeId& owner) {
   Record* rec = records_.Find(owner);
   if (rec == nullptr) return;
-  if (rec->down_since >= 0) ++epoch_;
   rec->down_since = -1;
 }
 

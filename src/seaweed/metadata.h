@@ -102,23 +102,12 @@ class MetadataStore {
   // `keep` is called with each owner id and its record; false means evict.
   template <typename KeepFn>
   size_t EvictIf(KeepFn keep) {
-    size_t erased = records_.EraseIf(
+    return records_.EraseIf(
         [&](const NodeId& owner, const Record& rec) { return !keep(owner, rec); });
-    if (erased > 0) ++epoch_;
-    return erased;
   }
-
-  // Mutation epoch: bumped by every state change (upsert, up/down marks,
-  // eviction, clear). A cached scan over the store is valid only while the
-  // epoch it was taken at is still current — this is the "table version"
-  // half of the bounded-divergence predictor cache key.
-  uint64_t epoch() const { return epoch_; }
 
   size_t size() const { return records_.size(); }
-  void Clear() {
-    records_.Clear();
-    ++epoch_;
-  }
+  void Clear() { records_.Clear(); }
 
   // Heap bytes held by the store (record table plus encoded payloads).
   size_t ApproxBytes() const;
@@ -126,7 +115,6 @@ class MetadataStore {
  private:
   FlatMap<NodeId, Record> records_;
   SimTime now_ = 0;
-  uint64_t epoch_ = 0;
 };
 
 }  // namespace seaweed

@@ -60,12 +60,7 @@ SeaweedNode::SeaweedNode(overlay::OverlayNetwork* overlay,
       reg->GetCounter("seaweed.dissem_fastpath_reissues");
   metrics_.dissem_refreshes = reg->GetCounter("seaweed.dissem_refreshes");
   metrics_.result_reroutes = reg->GetCounter("seaweed.result_reroutes");
-  metrics_.batch_flushes = reg->GetCounter("seaweed.batch_flushes");
-  metrics_.batch_entries = reg->GetCounter("seaweed.batch_entries");
-  metrics_.pred_cache_hits = reg->GetCounter("seaweed.pred_cache_hits");
-  metrics_.pred_cache_misses = reg->GetCounter("seaweed.pred_cache_misses");
   metrics_.queries_shed = reg->GetCounter("seaweed.queries_shed");
-  metrics_.exec_slices = reg->GetCounter("seaweed.exec_slices");
   metrics_.sketch_results = reg->GetCounter("seaweed.sketch.results");
   metrics_.sketch_merges = reg->GetCounter("seaweed.sketch.merges");
   metrics_.sketch_state_bytes =
@@ -169,8 +164,6 @@ void SeaweedNode::OnStopping() {
   ++generation_;
   metadata_.Clear();
   active_.clear();
-  outboxes_.clear();
-  predictor_cache_.clear();
   recent_handovers_.clear();
   plan_cache_.Clear();
   last_pushed_summary_.reset();
@@ -270,14 +263,6 @@ void SeaweedNode::OnAppSendFailed(const NodeHandle& dead,
       // A child range we handed to a now-dead contact: reissue via routing
       // immediately instead of waiting out the child timeout.
       ReissueChildOnDrop(msg->query_id, msg->range);
-      return;
-    case SeaweedMessage::Kind::kBroadcastBatch:
-      // Shared fate: the whole batch died on one dead hop. Every entry is
-      // independently ackable, so each reissues through its own child-range
-      // retry state.
-      for (const auto& entry : msg->batch) {
-        ReissueChildOnDrop(entry.query_id, entry.range);
-      }
       return;
     case SeaweedMessage::Kind::kResultSubmit:
       // A handover forward hit a dead node. Re-handle locally: the dead
@@ -632,16 +617,6 @@ void SeaweedNode::ExecuteAndSubmit(const NodeId& query_id) {
   obs::SpanId span = tracer_->StartSpan(
       "local_exec", obs::TraceKey(query_id), sim()->Now());
   tracer_->AddAttr(span, "node", static_cast<int64_t>(index()));
-  if (config_.exec_slice_batches > 0) {
-    auto begun = data_->BeginSlicedExecution(index(), aq.query.parsed,
-                                             &plan_cache_, query_id.ToHex());
-    if (begun.ok() && begun.value().cursor != nullptr) {
-      auto exec = std::make_shared<SlicedExecution>(std::move(begun).value());
-      StepSlicedExecution(query_id, std::move(exec), span);
-      return;
-    }
-    // Provider without sliced support: fall through to one-shot.
-  }
   auto result = data_->ExecuteCached(index(), aq.query.parsed, &plan_cache_,
                                      query_id.ToHex());
   tracer_->EndSpan(span, sim()->Now());
@@ -650,39 +625,8 @@ void SeaweedNode::ExecuteAndSubmit(const NodeId& query_id) {
                        << result.status().ToString();
     return;
   }
-  FinishLeafExecution(query_id, std::move(result).value());
-}
-
-void SeaweedNode::StepSlicedExecution(const NodeId& query_id,
-                                      std::shared_ptr<SlicedExecution> exec,
-                                      obs::SpanId span) {
-  metrics_.exec_slices->Add();
-  if (!exec->cursor->Step(static_cast<size_t>(config_.exec_slice_batches))) {
-    // Quantum exhausted with rows left: yield so concurrent queries (and the
-    // rest of this node's event work) interleave with the long scan.
-    uint64_t gen = generation_;
-    sim()->After(config_.exec_slice_yield, [this, gen, query_id, exec, span] {
-      if (gen != generation_) return;
-      if (active_.find(query_id) == active_.end()) return;  // cancelled
-      StepSlicedExecution(query_id, exec, span);
-    });
-    return;
-  }
-  tracer_->EndSpan(span, sim()->Now());
-  db::AggregateResult result = exec->cursor->Take();
-  plan_cache_.RecordExecution(exec->cursor->rows_scanned(),
-                              static_cast<uint64_t>(result.rows_matched));
-  FinishLeafExecution(query_id, std::move(result));
-}
-
-void SeaweedNode::FinishLeafExecution(const NodeId& query_id,
-                                      db::AggregateResult result) {
-  auto it = active_.find(query_id);
-  if (it == active_.end()) return;
-  ActiveQuery& aq = it->second;
-  if (aq.query.ExpiredAt(sim()->Now())) return;
   aq.leaf.result =
-      std::make_shared<const db::AggregateResult>(std::move(result));
+      std::make_shared<const db::AggregateResult>(std::move(result).value());
   aq.leaf.version = sim()->Now() > 0 ? static_cast<uint64_t>(sim()->Now()) : 1;
   aq.leaf.acked = false;
   SubmitLeafResult(query_id);
@@ -733,14 +677,6 @@ void SeaweedNode::SweepExpiredTick(uint64_t generation) {
   for (auto it = recent_handovers_.begin(); it != recent_handovers_.end();) {
     if (now - it->second > config_.handover_loop_window) {
       it = recent_handovers_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = predictor_cache_.begin(); it != predictor_cache_.end();) {
-    if (it->second.metadata_epoch != metadata_.epoch() ||
-        now - it->second.computed_at > config_.cache_eps) {
-      it = predictor_cache_.erase(it);
     } else {
       ++it;
     }
@@ -932,26 +868,18 @@ void SeaweedNode::DispatchChild(ActiveQuery& aq, RangeTask& task,
   ++child.tries;
   ++child.attempt;
   if (child.tries > 1) metrics_.dissem_reissues->Add();
-  if (!child.via_routing && config_.batching) {
-    // Shared-fate batching: hold the descriptor in the contact's outbox so
-    // concurrent queries traversing the same hop coalesce. Retries bypass
-    // the outbox (via_routing is forced on reissue), so each descriptor
-    // stays independently ackable.
-    EnqueueBatchedDispatch(aq, child);
+  auto msg = std::make_shared<SeaweedMessage>();
+  msg->kind = SeaweedMessage::Kind::kBroadcast;
+  msg->queries.push_back(aq.query);
+  msg->query_id = aq.query.query_id;
+  msg->range = child.range;
+  msg->parent = pastry_->handle();
+  if (child.via_routing) {
+    RouteSeaweed(child.range.Mid(), msg, TrafficCategory::kDissemination);
   } else {
-    auto msg = std::make_shared<SeaweedMessage>();
-    msg->kind = SeaweedMessage::Kind::kBroadcast;
-    msg->queries.push_back(aq.query);
-    msg->query_id = aq.query.query_id;
-    msg->range = child.range;
-    msg->parent = pastry_->handle();
-    if (child.via_routing) {
-      RouteSeaweed(child.range.Mid(), msg, TrafficCategory::kDissemination);
-    } else {
-      SendSeaweed(child.contact, msg, TrafficCategory::kDissemination);
-    }
-    ChargeQueryTx(aq, msg->WireBytes());
+    SendSeaweed(child.contact, msg, TrafficCategory::kDissemination);
   }
+  ChargeQueryTx(aq, msg->WireBytes());
   // Arm the reissue timer, backing off per attempt so an injected loss
   // burst does not turn every child into a fixed-rate retry storm.
   uint64_t gen = generation_;
@@ -990,78 +918,6 @@ void SeaweedNode::DispatchChild(ActiveQuery& aq, RangeTask& task,
   });
 }
 
-void SeaweedNode::EnqueueBatchedDispatch(ActiveQuery& aq, ChildRange& child) {
-  Outbox& box = outboxes_[child.contact.id];
-  box.contact = child.contact;
-  SeaweedMessage::BatchEntry entry;
-  entry.query_id = aq.query.query_id;
-  entry.range = child.range;
-  entry.query = aq.query;
-  box.entries.push_back(std::move(entry));
-  if (box.flush_scheduled) return;
-  box.flush_scheduled = true;
-  uint64_t gen = generation_;
-  NodeId contact_id = child.contact.id;
-  sim()->After(config_.batch_flush_delay, [this, gen, contact_id] {
-    if (gen != generation_) return;
-    FlushOutbox(contact_id);
-  });
-}
-
-void SeaweedNode::FlushOutbox(const NodeId& contact_id) {
-  auto it = outboxes_.find(contact_id);
-  if (it == outboxes_.end()) return;
-  Outbox box = std::move(it->second);
-  outboxes_.erase(it);
-  if (box.entries.empty()) return;
-  if (box.entries.size() == 1) {
-    // No sharing materialized within the flush window: plain descriptor.
-    const SeaweedMessage::BatchEntry& entry = box.entries.front();
-    auto msg = std::make_shared<SeaweedMessage>();
-    msg->kind = SeaweedMessage::Kind::kBroadcast;
-    msg->queries.push_back(entry.query);
-    msg->query_id = entry.query_id;
-    msg->range = entry.range;
-    msg->parent = pastry_->handle();
-    SendSeaweed(box.contact, msg, TrafficCategory::kDissemination);
-    if (auto qit = active_.find(entry.query_id); qit != active_.end()) {
-      ChargeQueryTx(qit->second, msg->WireBytes());
-    }
-    return;
-  }
-  auto msg = std::make_shared<SeaweedMessage>();
-  msg->kind = SeaweedMessage::Kind::kBroadcastBatch;
-  msg->parent = pastry_->handle();
-  msg->batch = std::move(box.entries);
-  metrics_.batch_flushes->Add();
-  metrics_.batch_entries->Add(msg->batch.size());
-  SendSeaweed(box.contact, msg, TrafficCategory::kBatched);
-  // Split the coalesced wire cost evenly across the riding queries.
-  const uint32_t share =
-      static_cast<uint32_t>(msg->WireBytes() / msg->batch.size());
-  for (const auto& entry : msg->batch) {
-    if (auto qit = active_.find(entry.query_id); qit != active_.end()) {
-      ChargeQueryTx(qit->second, share);
-    }
-  }
-}
-
-void SeaweedNode::HandleBroadcastBatch(const NodeHandle& from,
-                                       const SeaweedMessagePtr& msg) {
-  // Unpack into per-entry kBroadcasts: each entry was a complete descriptor
-  // that merely shared this hop, and is handled (and acked via its own
-  // predictor report) independently of its batch-mates.
-  for (const auto& entry : msg->batch) {
-    auto unpacked = std::make_shared<SeaweedMessage>();
-    unpacked->kind = SeaweedMessage::Kind::kBroadcast;
-    unpacked->queries.push_back(entry.query);
-    unpacked->query_id = entry.query_id;
-    unpacked->range = entry.range;
-    unpacked->parent = msg->parent;
-    HandleBroadcast(from, unpacked);
-  }
-}
-
 void SeaweedNode::GeneratePredictorFor(ActiveQuery& aq, const IdRange& range,
                                        CompletenessPredictor* out) {
   const SimTime now = sim()->Now();
@@ -1069,43 +925,12 @@ void SeaweedNode::GeneratePredictorFor(ActiveQuery& aq, const IdRange& range,
   obs::SpanId span = tracer_->StartSpan(
       "metadata_lookup", obs::TraceKey(aq.query.query_id), now);
 
-  // Bounded-divergence cache: an identical (range, query-shape) scan within
-  // cache_eps against an unchanged metadata store is reused, carrying its
-  // age as the predictor's divergence. Reuse returns the exact predictor of
-  // the original scan, so the monotone-predictor invariant holds: repeated
-  // cache-hit deliveries are bit-identical, never regressing.
-  std::pair<std::string, std::string> cache_key;
-  const bool caching = config_.cache_eps > 0;
-  if (caching) {
-    cache_key = {range.Token(), aq.query.parsed.ToString()};
-    auto hit = predictor_cache_.find(cache_key);
-    if (hit != predictor_cache_.end() &&
-        hit->second.metadata_epoch == metadata_.epoch() &&
-        now - hit->second.computed_at <= config_.cache_eps) {
-      metrics_.pred_cache_hits->Add();
-      CompletenessPredictor cached = hit->second.predictor;
-      cached.SetDivergenceS(static_cast<uint32_t>(
-          (now - hit->second.computed_at) / kSecond));
-      out->Merge(cached);
-      tracer_->AddAttr(span, "node", static_cast<int64_t>(index()));
-      tracer_->AddAttr(span, "cache_hit", static_cast<int64_t>(1));
-      tracer_->EndSpan(span, now);
-      return;
-    }
-    metrics_.pred_cache_misses->Add();
-  }
-
-  // With caching off, accumulate straight into `out` (the historical path,
-  // kept bit-identical); with caching on, scan into a fresh predictor so
-  // the cache stores this range's own contribution.
-  CompletenessPredictor fresh;
-  CompletenessPredictor* acc = caching ? &fresh : out;
   int64_t records = 0;
   if (range.Contains(id())) {
     // Our own contribution: row-count estimate from the local DBMS.
     double rows = data_->Summary(index()).EstimateRows(aq.query.parsed);
-    acc->AddRowsAt(0, rows);
-    acc->AddEndsystems(1);
+    out->AddRowsAt(0, rows);
+    out->AddEndsystems(1);
   }
   // Unavailable endsystems whose metadata we replicate.
   for (const auto* rec : metadata_.InRange(range, /*only_down=*/false)) {
@@ -1123,24 +948,17 @@ void SeaweedNode::GeneratePredictorFor(ActiveQuery& aq, const IdRange& range,
     Metadata meta = rec->Decoded();
     double rows = meta.summary.EstimateRows(aq.query.parsed);
     if (rows <= 0) {
-      acc->AddEndsystems(1);
+      out->AddEndsystems(1);
       ++records;
       continue;
     }
     const AvailabilityModel& model = meta.availability;
-    acc->AddRowsWithAvailability(
+    out->AddRowsWithAvailability(
         rows, [&](SimDuration edge) {
           return model.ProbUpBy(now, down_since, injected + edge);
         });
-    acc->AddEndsystems(1);
+    out->AddEndsystems(1);
     ++records;
-  }
-  if (caching) {
-    CachedPredictor& slot = predictor_cache_[cache_key];
-    slot.predictor = fresh;
-    slot.computed_at = now;
-    slot.metadata_epoch = metadata_.epoch();
-    out->Merge(fresh);
   }
   tracer_->AddAttr(span, "node", static_cast<int64_t>(index()));
   tracer_->AddAttr(span, "replica_records", records);
@@ -1726,9 +1544,6 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
     }
     case SeaweedMessage::Kind::kBroadcast:
       HandleBroadcast(from, msg);
-      break;
-    case SeaweedMessage::Kind::kBroadcastBatch:
-      HandleBroadcastBatch(from, msg);
       break;
     case SeaweedMessage::Kind::kPredictorReport:
       HandlePredictorReport(msg);

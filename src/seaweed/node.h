@@ -86,28 +86,11 @@ struct SeaweedConfig {
   // Views included in every metadata push (empty = none).
   std::vector<ReplicatedView> views;
 
-  // --- Multi-tenant pipeline (every knob off by default: strict no-op) ---
-  // Shared-fate dissemination batching: direct-contact child dispatches are
-  // held in a per-contact outbox for batch_flush_delay, then coalesced into
-  // one kBroadcastBatch per hop. Retry/ack machinery is per entry, so a
-  // partially-processed batch retries only the unacked descriptors.
-  bool batching = false;
-  SimDuration batch_flush_delay = 20 * kMillisecond;
-  // Bounded-divergence predictor caching: a predictor computed for the same
-  // (range, query shape) within cache_eps of now and against an unchanged
-  // metadata store is served from cache, skipping the replica scan; the
-  // reuse age rides the wire as the predictor's divergence. 0 disables.
-  SimDuration cache_eps = 0;
   // Admission control: > 0 bounds queries this node will originate
   // concurrently; injections beyond the bound are load-shed with
   // Status::Unavailable (distinguishable from execution failures).
   // 0 = unbounded.
   int max_active_queries = 0;
-  // SaGe-style time-sliced local execution: > 0 caps the ~1024-row batches
-  // scanned per slice; long scans yield exec_slice_yield between slices so
-  // concurrent queries interleave instead of convoying. 0 = one-shot.
-  int exec_slice_batches = 0;
-  SimDuration exec_slice_yield = 1 * kMillisecond;
 };
 
 // Origin-side observation hooks, invoked on the injecting endsystem.
@@ -272,21 +255,6 @@ class SeaweedNode : public overlay::PastryApp {
     obs::Counter* tx_bytes = nullptr;
   };
 
-  // Pending coalesced dispatches for one direct contact (batching).
-  struct Outbox {
-    overlay::NodeHandle contact;
-    std::vector<SeaweedMessage::BatchEntry> entries;
-    bool flush_scheduled = false;
-  };
-
-  // Bounded-divergence predictor cache entry: valid while the metadata
-  // store's epoch is unchanged and now - computed_at <= cache_eps.
-  struct CachedPredictor {
-    CompletenessPredictor predictor;
-    SimTime computed_at = 0;
-    uint64_t metadata_epoch = 0;
-  };
-
   Scheduler* sim() const { return overlay_->simulator(); }
 
   // --- Metadata plane ---
@@ -315,14 +283,7 @@ class SeaweedNode : public overlay::PastryApp {
   IdRange MyCell() const;
   bool CoveredByLeafset(const IdRange& range) const;
   void DispatchChild(ActiveQuery& aq, RangeTask& task, ChildRange& child);
-  // Batching: queues the child descriptor in the contact's outbox and
-  // schedules a deterministic flush; the child's retry timer is armed at
-  // enqueue time exactly as for an immediate send.
-  void EnqueueBatchedDispatch(ActiveQuery& aq, ChildRange& child);
-  void FlushOutbox(const NodeId& contact_id);
-  void HandleBroadcastBatch(const overlay::NodeHandle& from,
-                            const SeaweedMessagePtr& msg);
-  // Drop-notice fast path shared by kBroadcast and kBroadcastBatch entries:
+  // Drop-notice fast path for a kBroadcast that hit a dead contact:
   // reissues the child covering (query_id, range) via routing.
   void ReissueChildOnDrop(const NodeId& query_id, const IdRange& range);
   // Slow-cadence descriptor refresh for a child range whose fast retry
@@ -339,12 +300,6 @@ class SeaweedNode : public overlay::PastryApp {
   void EnsureQueryActive(const Query& query);
   void ScheduleLocalExecution(const NodeId& query_id);
   void ExecuteAndSubmit(const NodeId& query_id);
-  // Time-sliced execution: runs one quantum of `exec` and either yields
-  // (rescheduling itself) or submits the finished leaf result.
-  void StepSlicedExecution(const NodeId& query_id,
-                           std::shared_ptr<SlicedExecution> exec,
-                           obs::SpanId span);
-  void FinishLeafExecution(const NodeId& query_id, db::AggregateResult result);
   NodeId LeafParentVertex(const Query& query) const;
   bool IsLikelyRootFor(const NodeId& key) const;
   void SubmitLeafResult(const NodeId& query_id);
@@ -424,12 +379,7 @@ class SeaweedNode : public overlay::PastryApp {
     obs::Counter* dissem_fastpath_reissues;
     obs::Counter* dissem_refreshes;
     obs::Counter* result_reroutes;
-    obs::Counter* batch_flushes;
-    obs::Counter* batch_entries;
-    obs::Counter* pred_cache_hits;
-    obs::Counter* pred_cache_misses;
     obs::Counter* queries_shed;
-    obs::Counter* exec_slices;
     // Approximate-aggregate traffic: leaf submissions carrying sketch
     // states, interior folds of sketch-carrying children, and the encoded
     // sketch bytes placed on the wire (leaf + interior propagations).
@@ -465,12 +415,6 @@ class SeaweedNode : public overlay::PastryApp {
   // Volatile (lost on failure, rebuilt on rejoin).
   MetadataStore metadata_;
   std::map<NodeId, ActiveQuery> active_;
-  // Batching outboxes, keyed by contact id (std::map for deterministic
-  // flush-callback content).
-  std::map<NodeId, Outbox> outboxes_;
-  // Predictor cache keyed by (range token, query fingerprint).
-  std::map<std::pair<std::string, std::string>, CachedPredictor>
-      predictor_cache_;
   // Cancelled-query tombstones: query_id -> expiry of the suppression.
   std::map<NodeId, SimTime> cancelled_;
   // (query, vertex, child, version) -> time we last forwarded that exact

@@ -83,22 +83,13 @@ void SeaweedMessage::EncodeBody(Writer& w) const {
     case Kind::kQueryCancel:
       w.PutNodeId(query_id);
       break;
-    case Kind::kBroadcastBatch:
-      overlay::EncodeNodeHandle(w, parent);
-      w.PutVarint(batch.size());
-      for (const BatchEntry& e : batch) {
-        w.PutNodeId(e.query_id);
-        e.range.Encode(w);
-        e.query.Encode(w);
-      }
-      break;
   }
 }
 
 Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
   auto msg = std::make_shared<SeaweedMessage>();
   SEAWEED_ASSIGN_OR_RETURN(uint8_t kind_raw, r.GetU8());
-  if (kind_raw > static_cast<uint8_t>(Kind::kBroadcastBatch)) {
+  if (kind_raw > static_cast<uint8_t>(Kind::kQueryCancel)) {
     return Status::ParseError("bad seaweed message kind " +
                               std::to_string(kind_raw));
   }
@@ -211,23 +202,6 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
     }
     case Kind::kQueryCancel: {
       SEAWEED_ASSIGN_OR_RETURN(msg->query_id, r.GetNodeId());
-      break;
-    }
-    case Kind::kBroadcastBatch: {
-      SEAWEED_ASSIGN_OR_RETURN(msg->parent, overlay::DecodeNodeHandle(r));
-      SEAWEED_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-      // Entries are ≥20 wire bytes each (query id + range + query).
-      if (n > r.remaining() / 20) {
-        return Status::ParseError("broadcast batch count exceeds buffer");
-      }
-      msg->batch.reserve(static_cast<size_t>(n));
-      for (uint64_t i = 0; i < n; ++i) {
-        BatchEntry e;
-        SEAWEED_ASSIGN_OR_RETURN(e.query_id, r.GetNodeId());
-        SEAWEED_ASSIGN_OR_RETURN(e.range, IdRange::Decode(r));
-        SEAWEED_ASSIGN_OR_RETURN(e.query, Query::Decode(r));
-        msg->batch.push_back(std::move(e));
-      }
       break;
     }
   }

@@ -32,7 +32,6 @@ struct SeaweedMessage : WireMessage {
     kQueryListRequest,  // rejoining node -> neighbor
     kQueryList,         // neighbor -> rejoining node
     kQueryCancel,       // epidemic cancellation notice
-    kBroadcastBatch,    // several kBroadcast descriptors, one shared hop
   };
 
   Kind kind = Kind::kQueryListRequest;
@@ -51,17 +50,6 @@ struct SeaweedMessage : WireMessage {
   // kBroadcast / kPredictorReport
   IdRange range;
   overlay::NodeHandle parent;  // whom to report predictors to
-
-  // kBroadcastBatch: dissemination descriptors for distinct queries that
-  // share a next hop, coalesced into one message. `parent` is encoded once
-  // (all entries report predictors to the same sender); each entry is
-  // otherwise a complete kBroadcast and is acked/retried independently.
-  struct BatchEntry {
-    NodeId query_id;
-    IdRange range;
-    Query query;
-  };
-  std::vector<BatchEntry> batch;
 
   // kPredictorReport / kPredictorDeliver
   CompletenessPredictor predictor;

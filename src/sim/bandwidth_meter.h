@@ -23,7 +23,9 @@ enum class TrafficCategory : uint8_t {
   kDissemination = 2,  // query broadcast down the distribution tree
   kPredictor = 3,      // completeness predictor aggregation
   kResult = 4,         // incremental result aggregation
-  kBatched = 5,        // coalesced dissemination batches (shared-fate hops)
+  // Nothing charges this since dissemination batching was removed; it stays
+  // until perfbench/sim_workload.cc stops reading it.
+  kBatched = 5,
 };
 inline constexpr int kNumTrafficCategories = 6;
 

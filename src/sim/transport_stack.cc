@@ -47,23 +47,6 @@ Result<std::vector<TransportLayerSpec>> ParseTransportSpec(
       // every tool reports it consistently, but it is a base transport,
       // not a decorator: only seaweedd can instantiate it. Optional arg:
       // peer-config JSON path.
-    } else if (layer.kind == "batching") {
-      // Shared-fate dissemination batching. Not a wire decorator either:
-      // the per-contact outboxes live in SeaweedNode, and the cluster
-      // switches them on when the spec names this layer. Optional arg:
-      // outbox flush delay in whole milliseconds (>= 1).
-      if (!layer.arg.empty()) {
-        bool digits = true;
-        for (char ch : layer.arg) {
-          digits = digits && ch >= '0' && ch <= '9';
-        }
-        if (!digits || layer.arg.size() > 9 || layer.arg == "0" ||
-            std::stoul(layer.arg) == 0) {
-          return Status::InvalidArgument(
-              "transport layer \"batching\" takes a flush delay in whole "
-              "milliseconds >= 1, got \"" + layer.arg + "\"");
-        }
-      }
     } else {
       return Status::InvalidArgument("unknown transport layer \"" +
                                      layer.kind + "\" (known: " +
@@ -85,7 +68,7 @@ Result<std::vector<TransportLayerSpec>> ParseTransportSpec(
 }
 
 const char* KnownTransportLayers() {
-  return "serializing, faulty, udp, batching";
+  return "serializing, faulty, udp";
 }
 
 }  // namespace seaweed

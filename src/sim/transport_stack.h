@@ -62,9 +62,7 @@ struct TransportLayerSpec {
 // (optional fault-plan JSON path), "udp" (optional peer-config path; a base
 // transport usable only by seaweedd, and only as the innermost layer —
 // decorators such as "serializing,faulty:plan.json,udp" stack on top of the
-// real sockets; see src/net), and "batching" (optional flush delay in whole
-// milliseconds; enables the SeaweedNode dissemination outboxes rather than
-// wrapping the wire). The empty spec parses to no layers.
+// real sockets; see src/net). The empty spec parses to no layers.
 Result<std::vector<TransportLayerSpec>> ParseTransportSpec(
     const std::string& spec);
 

@@ -1,11 +1,8 @@
 // Determinism of the simulation engine: a seeded run repeated in the same
 // process must be byte-identical — same events, same messages, same obs
-// JSONL (metrics and trace spans) — and the multi-tenant pipeline knobs must
-// never change query answers.
-#include <memory>
+// JSONL (metrics and trace spans).
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,25 +16,12 @@ namespace {
 struct RunArtifacts {
   uint64_t events_executed = 0;
   uint64_t messages_sent = 0;
-  uint64_t batch_entries = 0;
   int joined = 0;
   std::string metrics_jsonl;
   std::string trace_jsonl;
-  std::vector<db::AggregateResult> finals;
 };
 
-// Multi-tenant pipeline knobs for a run; all off reproduces the classic
-// single-query configuration the original determinism tests were written
-// against.
-struct MultiTenantKnobs {
-  bool batching = false;
-  SimDuration cache_eps = 0;
-  int exec_slice_batches = 0;
-  int num_queries = 1;
-};
-
-RunArtifacts RunSeededCluster(int endsystems, SimDuration duration,
-                              const MultiTenantKnobs& knobs = {}) {
+RunArtifacts RunSeededCluster(int endsystems, SimDuration duration) {
   FarsiteModelConfig trace_cfg;
   trace_cfg.seed = 11;
   AvailabilityTrace trace =
@@ -48,36 +32,16 @@ RunArtifacts RunSeededCluster(int endsystems, SimDuration duration,
       .WithSeed(11)
       .WithKeepTables(false)
       .WithEncodeInFlight(true);
-  opts.seaweed().batching = knobs.batching;
-  opts.seaweed().cache_eps = knobs.cache_eps;
-  opts.seaweed().exec_slice_batches = knobs.exec_slice_batches;
   SeaweedCluster cluster(opts.BuildOrDie());
   cluster.DriveFromTrace(trace, duration);
 
   const SimTime inject_at = duration / 4;
-  auto finals =
-      std::make_shared<std::vector<db::AggregateResult>>(knobs.num_queries);
-  static const char* kSql[] = {
-      "SELECT COUNT(*) FROM Flow WHERE Bytes > 20000",
-      "SELECT SUM(Bytes) FROM Flow WHERE SrcPort = 80",
-      "SELECT COUNT(*) FROM Flow WHERE Bytes > 0",
-  };
-  const int num_queries = knobs.num_queries;
-  cluster.sim().At(inject_at, [&cluster, duration, inject_at, finals,
-                               num_queries] {
+  cluster.sim().At(inject_at, [&cluster, duration, inject_at] {
     for (int e = 0; e < cluster.config().num_endsystems; ++e) {
       if (cluster.pastry_node(e)->joined()) {
-        // Same-origin simultaneous injections share dissemination hops —
-        // the shape that actually exercises the batching outboxes.
-        for (int q = 0; q < num_queries; ++q) {
-          QueryObserver obs;
-          obs.on_result = [finals, q](const NodeId&,
-                                      const db::AggregateResult& r) {
-            (*finals)[q] = r;
-          };
-          (void)cluster.InjectQuery(e, kSql[q % 3], std::move(obs),
-                                    duration - inject_at);
-        }
+        (void)cluster.InjectQuery(
+            e, "SELECT COUNT(*) FROM Flow WHERE Bytes > 20000",
+            QueryObserver{}, duration - inject_at);
         return;
       }
     }
@@ -89,10 +53,7 @@ RunArtifacts RunSeededCluster(int endsystems, SimDuration duration,
   RunArtifacts a;
   a.events_executed = cluster.sim().events_executed();
   a.messages_sent = cluster.network().messages_sent();
-  a.batch_entries =
-      cluster.obs().metrics.GetCounter("seaweed.batch_entries")->value();
   a.joined = cluster.CountJoined();
-  a.finals = *finals;
   std::ostringstream metrics;
   obs::WriteMetricsJsonl(cluster.obs().metrics, metrics);
   a.metrics_jsonl = metrics.str();
@@ -116,29 +77,6 @@ TEST(Determinism, RepeatedRunIsByteIdentical) {
   EXPECT_EQ(a.joined, b.joined);
   EXPECT_EQ(a.metrics_jsonl, b.metrics_jsonl);
   EXPECT_EQ(a.trace_jsonl, b.trace_jsonl);
-}
-
-TEST(Determinism, BatchingOnOffSameFinalAggregates) {
-  // Batching and caching change message timing and wire layout, never
-  // query answers: a run with the pipeline on must converge to the same
-  // final aggregate per query as the plain run.
-  MultiTenantKnobs off;
-  off.num_queries = 3;
-  MultiTenantKnobs on = off;
-  on.batching = true;
-  on.cache_eps = 30 * kSecond;
-  on.exec_slice_batches = 4;
-  const SimDuration kDuration = 40 * kMinute;
-  RunArtifacts plain = RunSeededCluster(300, kDuration, off);
-  RunArtifacts batched = RunSeededCluster(300, kDuration, on);
-
-  EXPECT_EQ(plain.batch_entries, 0u);
-  EXPECT_GT(batched.batch_entries, 0u);
-  ASSERT_EQ(plain.finals.size(), batched.finals.size());
-  for (size_t q = 0; q < plain.finals.size(); ++q) {
-    EXPECT_GT(plain.finals[q].endsystems, 0) << "query " << q;
-    EXPECT_EQ(plain.finals[q], batched.finals[q]) << "query " << q;
-  }
 }
 
 TEST(Determinism, EngineGaugesPublished) {

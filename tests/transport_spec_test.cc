@@ -15,7 +15,7 @@ TEST(TransportSpecTest, EmptySpecMeansNoLayers) {
 }
 
 TEST(TransportSpecTest, SingleLayers) {
-  for (const char* spec : {"serializing", "faulty", "udp", "batching"}) {
+  for (const char* spec : {"serializing", "faulty", "udp"}) {
     auto layers = ParseTransportSpec(spec);
     ASSERT_TRUE(layers.ok()) << spec;
     ASSERT_EQ(layers->size(), 1u) << spec;
@@ -50,61 +50,25 @@ TEST(TransportSpecTest, UnknownLayerListsKnownOnes) {
   EXPECT_NE(layers.status().message().find("tcp"), std::string::npos);
   EXPECT_NE(layers.status().message().find(KnownTransportLayers()),
             std::string::npos);
-}
 
-TEST(TransportSpecTest, KnownLayersStringMentionsEveryKind) {
-  const std::string known = KnownTransportLayers();
-  for (const char* kind : {"serializing", "faulty", "udp", "batching"}) {
-    EXPECT_NE(known.find(kind), std::string::npos) << kind;
-  }
-}
-
-TEST(TransportSpecTest, BatchingTakesAMillisecondDelay) {
-  auto layers = ParseTransportSpec("batching:50");
-  ASSERT_TRUE(layers.ok());
-  ASSERT_EQ(layers->size(), 1u);
-  EXPECT_EQ((*layers)[0].kind, "batching");
-  EXPECT_EQ((*layers)[0].arg, "50");
-}
-
-TEST(TransportSpecTest, BatchingRejectsBadDelays) {
-  // Anything but a positive whole millisecond count is a usage error, and
-  // the message must name the layer so the simctl hint makes sense.
-  for (const char* spec :
-       {"batching:0", "batching:fast", "batching:-5", "batching:2.5",
-        "batching:9999999999"}) {
-    auto layers = ParseTransportSpec(spec);
-    ASSERT_FALSE(layers.ok()) << spec;
-    EXPECT_EQ(layers.status().code(), StatusCode::kInvalidArgument) << spec;
-    EXPECT_NE(layers.status().message().find("batching"), std::string::npos)
+  // "batching" named the removed dissemination batching; it is now as
+  // unknown as "tcp", with or without its old flush-delay argument.
+  for (const char* spec : {"batching", "batching:50"}) {
+    auto removed = ParseTransportSpec(spec);
+    ASSERT_FALSE(removed.ok()) << spec;
+    EXPECT_EQ(removed.status().code(), StatusCode::kInvalidArgument) << spec;
+    EXPECT_NE(removed.status().message().find(
+                  "unknown transport layer \"batching\""),
+              std::string::npos)
         << spec;
   }
 }
 
-TEST(TransportSpecTest, BatchingComposesWithSerializingAndFaulty) {
-  // Order in the spec is preserved outermost-first; batching may appear
-  // anywhere since it configures the nodes rather than wrapping the wire.
-  for (const char* spec :
-       {"serializing,batching,faulty:plan.json",
-        "batching:20,serializing,faulty", "serializing,faulty,batching"}) {
-    auto layers = ParseTransportSpec(spec);
-    ASSERT_TRUE(layers.ok()) << spec;
-    ASSERT_EQ(layers->size(), 3u) << spec;
+TEST(TransportSpecTest, KnownLayersStringMentionsEveryKind) {
+  const std::string known = KnownTransportLayers();
+  for (const char* kind : {"serializing", "faulty", "udp"}) {
+    EXPECT_NE(known.find(kind), std::string::npos) << kind;
   }
-  auto layers = ParseTransportSpec("serializing,batching:20,faulty:plan.json");
-  ASSERT_TRUE(layers.ok());
-  ASSERT_EQ(layers->size(), 3u);
-  EXPECT_EQ((*layers)[0].kind, "serializing");
-  EXPECT_EQ((*layers)[1].kind, "batching");
-  EXPECT_EQ((*layers)[1].arg, "20");
-  EXPECT_EQ((*layers)[2].kind, "faulty");
-  EXPECT_EQ((*layers)[2].arg, "plan.json");
-}
-
-TEST(TransportSpecTest, BatchingCannotRideOnUdp) {
-  auto layers = ParseTransportSpec("udp,batching");
-  ASSERT_FALSE(layers.ok());
-  EXPECT_NE(layers.status().message().find("udp"), std::string::npos);
 }
 
 TEST(TransportSpecTest, EmptyLayerIsRejected) {
@@ -133,7 +97,7 @@ TEST(TransportSpecTest, DecoratorsComposeOverUdp) {
   EXPECT_EQ((*layers)[2].kind, "udp");
 
   for (const char* spec :
-       {"serializing,udp", "faulty:plan.json,udp", "batching:20,faulty,udp"}) {
+       {"serializing,udp", "faulty:plan.json,udp", "serializing,faulty,udp"}) {
     auto ok = ParseTransportSpec(spec);
     EXPECT_TRUE(ok.ok()) << spec;
   }
@@ -144,7 +108,7 @@ TEST(TransportSpecTest, UdpMustBeTheInnermostLayer) {
   // These used to be rejected under the stricter udp-must-be-only-layer
   // rule and must still be rejected now.
   for (const char* spec :
-       {"udp,faulty", "udp,serializing", "udp,udp", "udp,batching",
+       {"udp,faulty", "udp,serializing", "udp,udp",
         "serializing,udp,faulty", "udp:peers.json,serializing"}) {
     auto layers = ParseTransportSpec(spec);
     ASSERT_FALSE(layers.ok()) << spec;

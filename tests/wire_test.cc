@@ -120,8 +120,8 @@ TEST(GoldenWireSizeTest, SeaweedMessageDefaults) {
   const GoldenRow kGolden[] = {
       {SeaweedMessage::Kind::kMetadataPush, 74},
       {SeaweedMessage::Kind::kBroadcast, 72},
-      {SeaweedMessage::Kind::kPredictorReport, 381},
-      {SeaweedMessage::Kind::kPredictorDeliver, 381},
+      {SeaweedMessage::Kind::kPredictorReport, 380},
+      {SeaweedMessage::Kind::kPredictorDeliver, 380},
       {SeaweedMessage::Kind::kResultSubmit, 76},
       {SeaweedMessage::Kind::kResultAck, 58},
       {SeaweedMessage::Kind::kVertexReplicate, 19},
@@ -129,7 +129,6 @@ TEST(GoldenWireSizeTest, SeaweedMessageDefaults) {
       {SeaweedMessage::Kind::kQueryListRequest, 2},
       {SeaweedMessage::Kind::kQueryList, 3},
       {SeaweedMessage::Kind::kQueryCancel, 18},
-      {SeaweedMessage::Kind::kBroadcastBatch, 23},
   };
   for (const auto& row : kGolden) {
     SeaweedMessage msg;
@@ -520,49 +519,6 @@ TEST(SeaweedCodecTest, QueryListKindsRoundTrip) {
   ExpectFixpoint(cancel);
 }
 
-TEST(SeaweedCodecTest, BroadcastBatchRoundTrips) {
-  SeaweedMessage msg;
-  msg.kind = SeaweedMessage::Kind::kBroadcastBatch;
-  msg.parent = NodeHandle{NodeId(4, 4), 9};
-  for (int i = 0; i < 3; ++i) {
-    SeaweedMessage::BatchEntry e;
-    e.query_id = NodeId(11, static_cast<uint64_t>(i));
-    e.range = IdRange{NodeId(static_cast<uint64_t>(i), 0),
-                      NodeId(static_cast<uint64_t>(i + 1), 0), false};
-    e.query = TestQuery();
-    e.query.query_id = e.query_id;
-    msg.batch.push_back(std::move(e));
-  }
-
-  std::vector<uint8_t> bytes = EncodeToBytes(msg);
-  auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(bytes));
-  ASSERT_NE(copy, nullptr);
-  EXPECT_EQ(copy->parent, msg.parent);
-  ASSERT_EQ(copy->batch.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(copy->batch[i].query_id, msg.batch[i].query_id);
-    EXPECT_EQ(copy->batch[i].range, msg.batch[i].range);
-    EXPECT_EQ(copy->batch[i].query.sql, msg.batch[i].query.sql);
-    // Decode re-parses the SQL: the plan must be usable again.
-    EXPECT_TRUE(copy->batch[i].query.parsed.IsAggregateOnly());
-  }
-  EXPECT_EQ(EncodeToBytes(*copy), bytes);
-
-  // Coalescing pays the shared hop once: a 3-entry batch is strictly
-  // smaller than three standalone broadcasts of the same descriptors.
-  uint32_t separate = 0;
-  for (const auto& e : msg.batch) {
-    SeaweedMessage one;
-    one.kind = SeaweedMessage::Kind::kBroadcast;
-    one.query_id = e.query_id;
-    one.range = e.range;
-    one.parent = msg.parent;
-    one.queries.push_back(e.query);
-    separate += one.EncodedBytes();
-  }
-  EXPECT_LT(msg.EncodedBytes(), separate);
-}
-
 // --- Corrupt and truncated input -------------------------------------------
 
 TEST(CorruptInputTest, TruncationNeverCrashes) {
@@ -613,13 +569,15 @@ TEST(CorruptInputTest, BadTagsAndEnumsRejected) {
     Reader r(bytes);
     EXPECT_FALSE(DecodeWireMessage(r).ok());
   }
-  {
+  // Seaweed kinds out of range: 11 is the first unassigned kind (it was a
+  // batched broadcast once, and no longer decodes).
+  for (uint8_t bad_kind : {uint8_t{11}, uint8_t{0x7F}}) {
     SeaweedMessage msg;
     msg.kind = SeaweedMessage::Kind::kQueryCancel;
     std::vector<uint8_t> bytes = EncodeToBytes(msg);
-    bytes[1] = 0x7F;  // seaweed kind out of range
+    bytes[1] = bad_kind;
     Reader r(bytes);
-    EXPECT_FALSE(DecodeWireMessage(r).ok());
+    EXPECT_FALSE(DecodeWireMessage(r).ok()) << int{bad_kind};
   }
   {
     // Absurd entry count must be rejected before allocation.

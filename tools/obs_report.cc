@@ -9,9 +9,8 @@
 //     totals here equal the meter's byte-for-byte)
 //   - per-query report (egress bytes from "query.<id>.tx_bytes",
 //     time-to-predictor / time-to-result from "disseminate" /
-//     "result_delivery" trace spans, metadata-lookup cache hits)
-//   - multi-tenant pipeline counters (dissemination batching, predictor
-//     cache, admission control) when any are nonzero
+//     "result_delivery" trace spans, metadata lookups)
+//   - multi-tenant pipeline counters (admission control) when nonzero
 //   - repair / recovery counters (leafset repairs, metadata re-replication,
 //     aggregation-tree handovers and re-propagations)
 //   - latency and size histograms
@@ -60,7 +59,6 @@ struct SpanData {
   std::string query;  // "query" attr when present
   std::string kind;
   std::string sql;
-  bool cache_hit = false;  // "cache_hit" attr on metadata_lookup spans
 };
 
 struct Dump {
@@ -156,8 +154,6 @@ bool LoadDump(const char* path, Dump* out) {
         if (const Json* q = attrs->Find("query")) s.query = q->AsString();
         if (const Json* q = attrs->Find("kind")) s.kind = q->AsString();
         if (const Json* q = attrs->Find("sql")) s.sql = q->AsString();
-        if (const Json* q = attrs->Find("cache_hit"))
-          s.cache_hit = q->AsInt() != 0;
       }
       out->spans.push_back(std::move(s));
     }
@@ -293,9 +289,7 @@ void PrintBandwidth(const Dump& d) {
 // closed "disseminate" (injection -> first aggregated predictor) and
 // "result_delivery" (injection -> first delivered result) child spans,
 // egress bytes from the per-query "query.<id>.tx_bytes" counter that
-// SeaweedNode charges every descriptor, retry, and aggregation send to
-// (batched descriptors are charged their per-entry share of the batch
-// frame, so the column stays meaningful with dissemination batching on).
+// SeaweedNode charges every descriptor, retry, and aggregation send to.
 void PrintPerQuery(const Dump& d, size_t top_n) {
   struct QueryInfo {
     std::string query;
@@ -307,7 +301,6 @@ void PrintPerQuery(const Dump& d, size_t top_n) {
     int aggregation_rounds = 0;
     int predictor_merges = 0;
     int lookups = 0;
-    int lookup_cache_hits = 0;
   };
   std::unordered_map<std::string, QueryInfo> by_trace;
   for (const SpanData& s : d.spans) {
@@ -326,7 +319,6 @@ void PrintPerQuery(const Dump& d, size_t top_n) {
       ++q.predictor_merges;
     } else if (s.name == "metadata_lookup") {
       ++q.lookups;
-      if (s.cache_hit) ++q.lookup_cache_hits;
     }
   }
   std::vector<QueryInfo> queries;
@@ -351,14 +343,11 @@ void PrintPerQuery(const Dump& d, size_t top_n) {
   uint64_t tx_total = 0;
   for (size_t i = 0; i < queries.size() && i < top_n; ++i) {
     const QueryInfo& q = queries[i];
-    char lookups[32];
-    std::snprintf(lookups, sizeof(lookups), "%d (%d hit)", q.lookups,
-                  q.lookup_cache_hits);
-    std::printf("  %-10s %-14s %12" PRIu64 " %14s %14s %7d %7d %10s\n",
+    std::printf("  %-10s %-14s %12" PRIu64 " %14s %14s %7d %7d %10d\n",
                 q.query.c_str(), q.kind.c_str(), q.tx_bytes,
                 q.dissem >= 0 ? FormatDuration(q.dissem).c_str() : "-",
                 q.result >= 0 ? FormatDuration(q.result).c_str() : "-",
-                q.aggregation_rounds, q.predictor_merges, lookups);
+                q.aggregation_rounds, q.predictor_merges, q.lookups);
     if (!q.sql.empty()) std::printf("      sql: %s\n", q.sql.c_str());
   }
   for (const QueryInfo& q : queries) tx_total += q.tx_bytes;
@@ -370,30 +359,12 @@ void PrintPerQuery(const Dump& d, size_t top_n) {
               queries.size(), tx_total);
 }
 
-// Multi-tenant pipeline counters: dissemination batching, the
-// bounded-divergence predictor cache, and admission control. All zeros
-// on a run with the pipeline off — the knobs default to no-op.
+// Multi-tenant pipeline counters: admission control's load shedding.
+// Zero, and the table omitted, when no admission limit was hit.
 void PrintPipeline(const Dump& d) {
-  const uint64_t flushes = CounterOr0(d, "seaweed.batch_flushes");
-  const uint64_t entries = CounterOr0(d, "seaweed.batch_entries");
-  const uint64_t hits = CounterOr0(d, "seaweed.pred_cache_hits");
-  const uint64_t misses = CounterOr0(d, "seaweed.pred_cache_misses");
   const uint64_t shed = CounterOr0(d, "server.queries_shed");
-  if (flushes + entries + hits + misses + shed == 0) return;
+  if (shed == 0) return;
   std::printf("\n== multi-tenant pipeline ==\n");
-  std::printf("  %-36s %12" PRIu64 "\n", "batch flushes", flushes);
-  std::printf("  %-36s %12" PRIu64 "\n", "batched descriptors", entries);
-  if (flushes > 0) {
-    std::printf("  %-36s %12.2f\n", "descriptors per batch",
-                static_cast<double>(entries) / static_cast<double>(flushes));
-  }
-  std::printf("  %-36s %12" PRIu64 "\n", "predictor cache hits", hits);
-  std::printf("  %-36s %12" PRIu64 "\n", "predictor cache misses", misses);
-  if (hits + misses > 0) {
-    std::printf("  %-36s %11.1f%%\n", "predictor cache hit rate",
-                100.0 * static_cast<double>(hits) /
-                    static_cast<double>(hits + misses));
-  }
   std::printf("  %-36s %12" PRIu64 "\n", "queries load-shed", shed);
 }
 

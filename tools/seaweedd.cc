@@ -50,8 +50,6 @@ struct Args {
   int64_t epoch_us = 0;
   std::string profile = "fast";
   int stagger_ms = 200;
-  bool batching = false;
-  double cache_eps_s = 0;
   int max_active_queries = 0;
   std::string transport;
   bool rejoin = false;
@@ -68,7 +66,6 @@ struct Args {
       "usage: seaweedd [--endsystems N --shards P | --peers FILE] --shard p\n"
       "                [--base-port 9400] [--seed S] [--epoch-us UNIX_US]\n"
       "                [--profile fast|paper] [--stagger-ms MS]\n"
-      "                [--batching] [--cache-eps SECS]\n"
       "                [--max-active-queries N] [--obs-dump FILE]\n"
       "                [--transport SPEC] [--rejoin]\n"
       "  --transport: decorators over the udp base, outermost first, e.g.\n"
@@ -102,8 +99,6 @@ Args Parse(int argc, char** argv) {
     else if (flag == "--epoch-us") args.epoch_us = std::stoll(value());
     else if (flag == "--profile") args.profile = value();
     else if (flag == "--stagger-ms") args.stagger_ms = std::stoi(value());
-    else if (flag == "--batching") args.batching = true;
-    else if (flag == "--cache-eps") args.cache_eps_s = std::stod(value());
     else if (flag == "--max-active-queries")
       args.max_active_queries = std::stoi(value());
     else if (flag == "--transport") args.transport = value();
@@ -225,12 +220,9 @@ int RunDaemon(const Args& args) {
   config.bringup_stagger =
       static_cast<SimDuration>(args.stagger_ms) * kMillisecond;
   ApplyProfile(args.profile, &config);
-  if (args.cache_eps_s < 0 || args.max_active_queries < 0) {
-    Usage("--cache-eps and --max-active-queries must be >= 0");
+  if (args.max_active_queries < 0) {
+    Usage("--max-active-queries must be >= 0");
   }
-  config.seaweed.batching = args.batching;
-  config.seaweed.cache_eps =
-      static_cast<SimDuration>(args.cache_eps_s * kSecond);
   config.seaweed.max_active_queries = args.max_active_queries;
   config.transport = args.transport;
   config.rejoin = args.rejoin;
