@@ -2,7 +2,8 @@
 # Full pre-merge check: builds the default configuration and the
 # ASan+UBSan configuration, runs the complete test suite under both, and
 # runs the differentials under both: serializing-transport and chaos
-# replay.
+# replay. Each differential also requires that its runs re-propagated
+# vertices (seaweed.vertex_repropagations > 0 in their obs dumps).
 #
 # Usage: scripts/check.sh [extra ctest args...]
 #
@@ -28,6 +29,19 @@ require_binary() {
   fi
 }
 
+# Fails unless the obs dump $1 holds a counter $2 greater than zero: a
+# differential whose run never exercised a mechanism says nothing about it.
+require_counter() {
+  local dump="$1" name="$2" value
+  value=$(grep -o "\"name\":\"$name\",\"value\":[0-9]*" "$dump" |
+          grep -o '[0-9]*$' || true)
+  if [[ -z "$value" || "$value" -eq 0 ]]; then
+    echo "FAIL: counter $name is ${value:-missing} in $dump" >&2
+    exit 1
+  fi
+  echo "$name = $value"
+}
+
 # Runs one simulation twice within the SAME build tree — once over the
 # in-memory transport, once with every message encoded to bytes and decoded
 # back in flight — and asserts bit-identical stdout. Comparing across build
@@ -40,13 +54,18 @@ differential() {
   local flags=(--endsystems 60 --hours 2 --seed 7
                --query "SELECT COUNT(*), SUM(Bytes) FROM Flow")
   echo "--- serializing-transport differential ($build) ---"
-  "$simbin" "${flags[@]}" > "$build/sim_mem.out"
-  "$simbin" "${flags[@]}" --transport serializing > "$build/sim_ser.out"
+  "$simbin" "${flags[@]}" --obs-dump "$build/sim_mem.jsonl" \
+      > "$build/sim_mem.out"
+  "$simbin" "${flags[@]}" --transport serializing \
+      --obs-dump "$build/sim_ser.jsonl" > "$build/sim_ser.out"
   if ! diff -u "$build/sim_mem.out" "$build/sim_ser.out"; then
     echo "FAIL: serializing transport changed simulation output" >&2
     exit 1
   fi
   echo "outputs bit-identical"
+  # The batched re-propagation timers must have fired on both sides.
+  require_counter "$build/sim_mem.jsonl" seaweed.vertex_repropagations
+  require_counter "$build/sim_ser.jsonl" seaweed.vertex_repropagations
 }
 
 # Runs the same chaos simulation twice through the full decorator stack
@@ -70,13 +89,17 @@ EOF
                --transport "serializing,faulty:$plan"
                --query "SELECT COUNT(*), SUM(Bytes) FROM Flow")
   echo "--- chaos replay determinism ($build) ---"
-  "$simbin" "${flags[@]}" > "$build/sim_chaos_a.out"
-  "$simbin" "${flags[@]}" > "$build/sim_chaos_b.out"
+  "$simbin" "${flags[@]}" --obs-dump "$build/sim_chaos_a.jsonl" \
+      > "$build/sim_chaos_a.out"
+  "$simbin" "${flags[@]}" --obs-dump "$build/sim_chaos_b.jsonl" \
+      > "$build/sim_chaos_b.out"
   if ! diff -u "$build/sim_chaos_a.out" "$build/sim_chaos_b.out"; then
     echo "FAIL: chaos run is not seed-deterministic" >&2
     exit 1
   fi
   echo "replays bit-identical"
+  require_counter "$build/sim_chaos_a.jsonl" seaweed.vertex_repropagations
+  require_counter "$build/sim_chaos_b.jsonl" seaweed.vertex_repropagations
 }
 
 # Sketch smoke: the documented accuracy floors (HLL relative error <= 2%

@@ -64,7 +64,7 @@ LiveCluster::LiveCluster(EventLoop* loop, const ShardMap& map,
   for (int i = 0; i < map_.num_endsystems; ++i) {
     seaweed_.push_back(std::make_unique<SeaweedNode>(
         overlay_.get(), overlay_->node(static_cast<EndsystemIndex>(i)),
-        data_.get(), config_.seaweed));
+        data_.get(), config_.seaweed, &seaweed_metrics_));
   }
 }
 

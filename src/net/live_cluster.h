@@ -109,6 +109,7 @@ class LiveCluster {
   std::vector<NodeId> ids_;
   std::unique_ptr<TransportStack> stack_;
   std::unique_ptr<overlay::OverlayNetwork> overlay_;
+  SeaweedMetrics seaweed_metrics_{&obs_.metrics};
   std::vector<std::unique_ptr<SeaweedNode>> seaweed_;
   obs::Counter* rejoins_ = nullptr;
 };

@@ -61,7 +61,7 @@ void SeaweedCluster::Construct(std::shared_ptr<DataProvider> data) {
   for (int i = 0; i < config_.num_endsystems; ++i) {
     seaweed_.push_back(std::make_unique<SeaweedNode>(
         overlay_.get(), overlay_->node(static_cast<EndsystemIndex>(i)),
-        data_.get(), config_.seaweed));
+        data_.get(), config_.seaweed, &seaweed_metrics_));
   }
 
   ScheduleCrashEpochs();
@@ -174,10 +174,19 @@ void SeaweedCluster::PublishStatsGauges() {
       ->Set(static_cast<int64_t>(overlay_->ApproxRoutingBytes()));
   uint64_t meta_bytes = 0;
   uint64_t meta_records = 0;
+  uint64_t vertices = 0;
+  uint64_t vertex_bytes = 0;
   for (const auto& node : seaweed_) {
     meta_bytes += node->metadata_store().ApproxBytes();
     meta_records += node->metadata_store().size();
+    const SeaweedNode::VertexFootprint v = node->vertex_footprint();
+    vertices += v.vertices;
+    vertex_bytes += v.bytes;
   }
+  obs_.metrics.GetGauge("mem.seaweed.vertices")
+      ->Set(static_cast<int64_t>(vertices));
+  obs_.metrics.GetGauge("mem.seaweed.vertex_bytes")
+      ->Set(static_cast<int64_t>(vertex_bytes));
   obs_.metrics.GetGauge("mem.meta.store_bytes")
       ->Set(static_cast<int64_t>(meta_bytes));
   obs_.metrics.GetGauge("mem.meta.store_records")

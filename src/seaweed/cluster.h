@@ -137,6 +137,7 @@ class SeaweedCluster {
   std::unique_ptr<TransportStack> stack_;
   std::unique_ptr<overlay::OverlayNetwork> overlay_;
   std::shared_ptr<DataProvider> data_;
+  SeaweedMetrics seaweed_metrics_{&obs_.metrics};
   std::vector<std::unique_ptr<SeaweedNode>> seaweed_;
   std::vector<NodeId> ids_;
   // Online endsystem-seconds per hour (piecewise integration).

@@ -18,62 +18,97 @@ SimDuration RetryBackoff(SimDuration base, int tries, SimDuration cap) {
   return std::min(d, cap);
 }
 
+using ChildEntry = SeaweedMessage::ReplicaEntry;
+
+std::vector<ChildEntry>::iterator LowerBound(std::vector<ChildEntry>& children,
+                                             const NodeId& child) {
+  return std::lower_bound(
+      children.begin(), children.end(), child,
+      [](const ChildEntry& e, const NodeId& key) { return e.child < key; });
+}
+
+// The entry held for `child`, or nullptr.
+ChildEntry* FindChild(std::vector<ChildEntry>& children, const NodeId& child) {
+  auto it = LowerBound(children, child);
+  return it != children.end() && it->child == child ? &*it : nullptr;
+}
+
+// The entry to overwrite with `child`'s result at `version`, inserted in key
+// order if new (adding any growth of the vector to `heap_bytes`); nullptr
+// when the held entry is already at `version` or newer (a stale or replayed
+// update — the dedup that makes retries safe).
+ChildEntry* AdvanceChild(std::vector<ChildEntry>& children,
+                         const NodeId& child, uint64_t version,
+                         size_t& heap_bytes) {
+  auto it = LowerBound(children, child);
+  if (it == children.end() || it->child != child) {
+    const size_t capacity = children.capacity();
+    it = children.insert(it, ChildEntry{child, version, nullptr});
+    heap_bytes += (children.capacity() - capacity) * sizeof(ChildEntry);
+    return &*it;
+  }
+  if (it->version >= version) return nullptr;
+  it->version = version;
+  return &*it;
+}
+
 }  // namespace
+
+SeaweedMetrics::SeaweedMetrics(obs::MetricsRegistry* reg)
+    : queries_injected(reg->GetCounter("seaweed.queries_injected")),
+      metadata_pushes(reg->GetCounter("seaweed.metadata_pushes")),
+      metadata_rereplications(reg->GetCounter(
+          "seaweed.metadata_rereplications")),
+      predictor_merges(reg->GetCounter("seaweed.predictor_merges")),
+      dissem_reissues(reg->GetCounter("seaweed.dissem_reissues")),
+      vertex_updates(reg->GetCounter("seaweed.vertex_updates")),
+      vertex_handovers(reg->GetCounter("seaweed.vertex_handovers")),
+      vertex_repropagations(reg->GetCounter("seaweed.vertex_repropagations")),
+      repropagation_timers(reg->GetCounter("seaweed.repropagation_timers")),
+      repropagation_rounds(reg->GetCounter("seaweed.repropagation_rounds")),
+      vertex_updates_outside_pass(reg->GetCounter(
+          "seaweed.vertex_updates_outside_pass")),
+      vertex_fn_invocations(reg->GetCounter("seaweed.vertex_fn_invocations")),
+      fold_passes(reg->GetCounter("seaweed.fold_passes")),
+      fold_vertices(reg->GetCounter("seaweed.fold_vertices")),
+      replicate_msgs(reg->GetCounter("seaweed.replicate_msgs")),
+      replicate_bytes(reg->GetCounter("seaweed.replicate_bytes")),
+      leaf_retries(reg->GetCounter("seaweed.leaf_retries")),
+      leaf_giveups(reg->GetCounter("seaweed.leaf_giveups")),
+      vertex_retries(reg->GetCounter("seaweed.vertex_retries")),
+      vertex_giveups(reg->GetCounter("seaweed.vertex_giveups")),
+      handovers_suppressed(reg->GetCounter("seaweed.handovers_suppressed")),
+      duplicates_suppressed(reg->GetCounter("seaweed.duplicates_suppressed")),
+      dissem_fastpath_reissues(reg->GetCounter(
+          "seaweed.dissem_fastpath_reissues")),
+      dissem_refreshes(reg->GetCounter("seaweed.dissem_refreshes")),
+      result_reroutes(reg->GetCounter("seaweed.result_reroutes")),
+      queries_shed(reg->GetCounter("seaweed.queries_shed")),
+      sketch_results(reg->GetCounter("seaweed.sketch.results")),
+      sketch_merges(reg->GetCounter("seaweed.sketch.merges")),
+      sketch_state_bytes(reg->GetCounter("seaweed.sketch.state_bytes")),
+      dissem_fanout(reg->GetHistogram("seaweed.dissem_fanout")),
+      predictor_latency_us(reg->GetHistogram("seaweed.predictor_latency_us")),
+      result_latency_us(reg->GetHistogram("seaweed.result_latency_us")) {}
 
 SeaweedNode::SeaweedNode(overlay::OverlayNetwork* overlay,
                          overlay::PastryNode* pastry, DataProvider* data,
-                         const SeaweedConfig& config)
+                         const SeaweedConfig& config,
+                         const SeaweedMetrics* metrics)
     : overlay_(overlay),
       pastry_(pastry),
       data_(data),
       config_(config),
+      metrics_(metrics),
       rng_(pastry->id().lo() ^ 0xc0ffee) {
   pastry_->set_app(this);
   obs::Observability* o = overlay_->obs();
   tracer_ = &o->trace;
-  obs::MetricsRegistry* reg = &o->metrics;
-  metrics_.queries_injected = reg->GetCounter("seaweed.queries_injected");
-  metrics_.metadata_pushes = reg->GetCounter("seaweed.metadata_pushes");
-  metrics_.metadata_rereplications =
-      reg->GetCounter("seaweed.metadata_rereplications");
-  metrics_.predictor_merges = reg->GetCounter("seaweed.predictor_merges");
-  metrics_.dissem_reissues = reg->GetCounter("seaweed.dissem_reissues");
-  metrics_.vertex_updates = reg->GetCounter("seaweed.vertex_updates");
-  metrics_.vertex_handovers = reg->GetCounter("seaweed.vertex_handovers");
-  metrics_.vertex_repropagations =
-      reg->GetCounter("seaweed.vertex_repropagations");
-  metrics_.vertex_fn_invocations =
-      reg->GetCounter("seaweed.vertex_fn_invocations");
-  metrics_.fold_passes = reg->GetCounter("seaweed.fold_passes");
-  metrics_.fold_vertices = reg->GetCounter("seaweed.fold_vertices");
-  metrics_.replicate_msgs = reg->GetCounter("seaweed.replicate_msgs");
-  metrics_.replicate_bytes = reg->GetCounter("seaweed.replicate_bytes");
-  metrics_.leaf_retries = reg->GetCounter("seaweed.leaf_retries");
-  metrics_.leaf_giveups = reg->GetCounter("seaweed.leaf_giveups");
-  metrics_.vertex_retries = reg->GetCounter("seaweed.vertex_retries");
-  metrics_.vertex_giveups = reg->GetCounter("seaweed.vertex_giveups");
-  metrics_.handovers_suppressed =
-      reg->GetCounter("seaweed.handovers_suppressed");
-  metrics_.duplicates_suppressed =
-      reg->GetCounter("seaweed.duplicates_suppressed");
-  metrics_.dissem_fastpath_reissues =
-      reg->GetCounter("seaweed.dissem_fastpath_reissues");
-  metrics_.dissem_refreshes = reg->GetCounter("seaweed.dissem_refreshes");
-  metrics_.result_reroutes = reg->GetCounter("seaweed.result_reroutes");
-  metrics_.queries_shed = reg->GetCounter("seaweed.queries_shed");
-  metrics_.sketch_results = reg->GetCounter("seaweed.sketch.results");
-  metrics_.sketch_merges = reg->GetCounter("seaweed.sketch.merges");
-  metrics_.sketch_state_bytes =
-      reg->GetCounter("seaweed.sketch.state_bytes");
-  metrics_.dissem_fanout = reg->GetHistogram("seaweed.dissem_fanout");
-  metrics_.predictor_latency_us =
-      reg->GetHistogram("seaweed.predictor_latency_us");
-  metrics_.result_latency_us = reg->GetHistogram("seaweed.result_latency_us");
-  plan_cache_.AttachMetrics(reg);
+  plan_cache_.AttachMetrics(&o->metrics);
 }
 
 void SeaweedNode::StartQueryTrace(ActiveQuery& aq, const char* kind) {
-  metrics_.queries_injected->Add();
+  metrics_->queries_injected->Add();
   const SimTime now = sim()->Now();
   const uint64_t key = obs::TraceKey(aq.query.query_id);
   aq.root_span = tracer_->StartSpan("query", key, now);
@@ -199,7 +234,7 @@ void SeaweedNode::OnNeighborFailed(const NodeHandle& neighbor) {
       msg->kind = SeaweedMessage::Kind::kMetadataPush;
       msg->metadata = rec->Decoded();
       msg->metadata_wire_bytes = data_->SummaryWireBytes(index());
-      metrics_.metadata_rereplications->Add();
+      metrics_->metadata_rereplications->Add();
       SendSeaweed(*target, msg, TrafficCategory::kMetadata);
     }
   }
@@ -268,7 +303,7 @@ void SeaweedNode::OnAppSendFailed(const NodeHandle& dead,
       // A handover forward hit a dead node. Re-handle locally: the dead
       // member is gone from the leafset now, so this either picks the next
       // closer member or folds the submission into our own vertex state.
-      metrics_.result_reroutes->Add();
+      metrics_->result_reroutes->Add();
       HandleResultSubmit(pastry_->handle(), msg);
       return;
     default:
@@ -291,7 +326,7 @@ void SeaweedNode::ReissueChildOnDrop(const NodeId& query_id,
         c->second.tries > config_.max_child_retries) {
       return;
     }
-    metrics_.dissem_fastpath_reissues->Add();
+    metrics_->dissem_fastpath_reissues->Add();
     c->second.via_routing = true;
     DispatchChild(it->second, task, c->second);
     return;
@@ -314,7 +349,7 @@ void SeaweedNode::ArmChildRedissemination(const NodeId& query_id,
     if (t == it->second.tasks.end()) return;
     auto c = t->second.children.find(child_token);
     if (c == t->second.children.end() || c->second.reported) return;
-    metrics_.dissem_refreshes->Add();
+    metrics_->dissem_refreshes->Add();
     // Route rather than send direct: the original contact is the likely
     // casualty, and routing lets the overlay pick whoever now owns the
     // range (possibly the restarted node under a fresh handle).
@@ -411,7 +446,7 @@ void SeaweedNode::PushMetadataTo(const NodeHandle& to, bool allow_delta) {
         db::SummaryDeltaBytes(*last_pushed_summary_, msg->metadata.summary));
   }
   replicas_with_summary_.insert(to.id);
-  metrics_.metadata_pushes->Add();
+  metrics_->metadata_pushes->Add();
   SendSeaweed(to, msg, TrafficCategory::kMetadata);
 }
 
@@ -453,7 +488,7 @@ Result<NodeId> SeaweedNode::InjectQuery(const std::string& sql,
     return Status::Unavailable("injecting endsystem is down");
   }
   if (AtAdmissionLimit()) {
-    metrics_.queries_shed->Add();
+    metrics_->queries_shed->Add();
     return Status::Unavailable("load shed: admission limit reached");
   }
   SEAWEED_ASSIGN_OR_RETURN(
@@ -489,7 +524,7 @@ Result<NodeId> SeaweedNode::InjectContinuousQuery(const std::string& sql,
     return Status::Unavailable("injecting endsystem is down");
   }
   if (AtAdmissionLimit()) {
-    metrics_.queries_shed->Add();
+    metrics_->queries_shed->Add();
     return Status::Unavailable("load shed: admission limit reached");
   }
   SEAWEED_ASSIGN_OR_RETURN(
@@ -540,7 +575,7 @@ Result<NodeId> SeaweedNode::QueryViewSnapshot(const std::string& view_name,
     return Status::Unavailable("injecting endsystem is down");
   }
   if (AtAdmissionLimit()) {
-    metrics_.queries_shed->Add();
+    metrics_->queries_shed->Add();
     return Status::Unavailable("load shed: admission limit reached");
   }
   const ReplicatedView* view = nullptr;
@@ -850,7 +885,7 @@ void SeaweedNode::ProcessRange(ActiveQuery& aq, const IdRange& range,
   }
 
   RangeTask& final_task = aq.tasks[token];
-  metrics_.dissem_fanout->Record(final_task.children.size());
+  metrics_->dissem_fanout->Record(final_task.children.size());
   obs::SpanId span = tracer_->StartSpan(
       "disseminate_range", obs::TraceKey(aq.query.query_id), sim()->Now());
   tracer_->AddAttr(span, "node", static_cast<int64_t>(index()));
@@ -867,7 +902,7 @@ void SeaweedNode::DispatchChild(ActiveQuery& aq, RangeTask& task,
                                 ChildRange& child) {
   ++child.tries;
   ++child.attempt;
-  if (child.tries > 1) metrics_.dissem_reissues->Add();
+  if (child.tries > 1) metrics_->dissem_reissues->Add();
   auto msg = std::make_shared<SeaweedMessage>();
   msg->kind = SeaweedMessage::Kind::kBroadcast;
   msg->queries.push_back(aq.query);
@@ -1009,7 +1044,7 @@ void SeaweedNode::ReportTask(ActiveQuery& aq, RangeTask& task) {
       // Origin is itself the tree root.
       if (aq.result_span != obs::kNoSpan) {
         tracer_->EndSpan(aq.result_span, sim()->Now());
-        metrics_.result_latency_us->Record(static_cast<uint64_t>(
+        metrics_->result_latency_us->Record(static_cast<uint64_t>(
             sim()->Now() - aq.query.injected_at));
         aq.result_span = obs::kNoSpan;
       }
@@ -1046,7 +1081,7 @@ void SeaweedNode::HandlePredictorReport(const SeaweedMessagePtr& msg) {
     c->second.reported = true;
     if (!c->second.done) {
       c->second.done = true;
-      metrics_.predictor_merges->Add();
+      metrics_->predictor_merges->Add();
       obs::SpanId span = tracer_->StartSpan(
           "predictor_merge", obs::TraceKey(msg->query_id), sim()->Now());
       tracer_->AddAttr(span, "node", static_cast<int64_t>(index()));
@@ -1098,24 +1133,25 @@ void SeaweedNode::SubmitLeafResult(const NodeId& query_id) {
   }
   aq.leaf.vertex_id = vertex;
   aq.leaf.tries = 0;  // fresh submit round, fresh retry budget
-  auto msg = std::make_shared<SeaweedMessage>();
-  msg->kind = SeaweedMessage::Kind::kResultSubmit;
-  msg->query_id = query_id;
-  msg->vertex_id = vertex;
-  msg->child_key = id();
-  msg->version = aq.leaf.version;
-  if (aq.leaf.result->HasSketchStates()) {
-    metrics_.sketch_results->Add();
-    metrics_.sketch_state_bytes->Add(aq.leaf.result->SketchStateBytes());
-  }
+  if (aq.leaf.result->HasSketchStates()) metrics_->sketch_results->Add();
   if (IsLikelyRootFor(vertex)) {
     // We are (or believe we are) the vertex primary: fold locally. If the
-    // view is wrong, HandleResultSubmit hands the submission over under the
-    // same vertexId, so the tree shape is unaffected either way.
-    HandleResultSubmit(pastry_->handle(), msg, aq.leaf.result);
+    // view is wrong, replication and re-propagation reconcile ownership once
+    // views converge; the vertexId, and so the tree shape, is the same
+    // either way.
+    if (cancelled_.count(query_id) == 0) {
+      FoldLocal(aq, vertex, aq.vertices[vertex], id(), aq.leaf.version,
+                aq.leaf.result);
+    }
     aq.leaf.acked = true;
   } else {
-    msg->result = *aq.leaf.result;
+    auto msg = std::make_shared<SeaweedMessage>();
+    msg->kind = SeaweedMessage::Kind::kResultSubmit;
+    msg->query_id = query_id;
+    msg->vertex_id = vertex;
+    msg->child_key = id();
+    msg->version = aq.leaf.version;
+    AttachResult(*msg, *aq.leaf.result);
     RouteSeaweed(vertex, msg, TrafficCategory::kResult);
     ChargeQueryTx(aq, msg->WireBytes());
     uint64_t gen = generation_;
@@ -1157,10 +1193,10 @@ void SeaweedNode::RetryLeafSubmit(const NodeId& query_id, uint64_t version) {
   if (++aq.leaf.tries > config_.max_result_retries) {
     // Stop burning bandwidth into a black hole (partition, dead replica
     // group); the periodic refresh re-submits with a fresh budget.
-    metrics_.leaf_giveups->Add();
+    metrics_->leaf_giveups->Add();
     return;
   }
-  metrics_.leaf_retries->Add();
+  metrics_->leaf_retries->Add();
   // Re-route; the primary may have changed.
   auto msg = std::make_shared<SeaweedMessage>();
   msg->kind = SeaweedMessage::Kind::kResultSubmit;
@@ -1168,7 +1204,7 @@ void SeaweedNode::RetryLeafSubmit(const NodeId& query_id, uint64_t version) {
   msg->vertex_id = aq.leaf.vertex_id;
   msg->child_key = id();
   msg->version = aq.leaf.version;
-  msg->result = *aq.leaf.result;
+  AttachResult(*msg, *aq.leaf.result);
   RouteSeaweed(aq.leaf.vertex_id, msg, TrafficCategory::kResult);
   ChargeQueryTx(aq, msg->WireBytes());
   uint64_t gen = generation_;
@@ -1181,19 +1217,24 @@ void SeaweedNode::RetryLeafSubmit(const NodeId& query_id, uint64_t version) {
   });
 }
 
+void SeaweedNode::AttachResult(SeaweedMessage& msg,
+                               const db::AggregateResult& result) {
+  msg.result = result;
+  if (result.HasSketchStates()) {
+    metrics_->sketch_state_bytes->Add(result.SketchStateBytes());
+  }
+}
+
 SeaweedNode::ResultPtr SeaweedNode::MergedVertexResult(
     const VertexState& state) const {
-  if (state.children.size() == 1) return state.children.begin()->second.second;
+  if (state.children.size() == 1) return state.children.front().result;
   auto merged = std::make_shared<db::AggregateResult>();
-  for (const auto& [key, entry] : state.children) {
-    merged->Merge(*entry.second);
-  }
+  for (const ChildEntry& child : state.children) merged->Merge(*child.result);
   return merged;
 }
 
 void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
-                                     const SeaweedMessagePtr& msg,
-                                     ResultPtr shared) {
+                                     const SeaweedMessagePtr& msg) {
   const NodeId& vertex = msg->vertex_id;
   // If our view says someone else is closer to the vertexId, hand it over —
   // unless we already forwarded this exact submission moments ago. A repeat
@@ -1211,12 +1252,11 @@ void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
       if (seen == recent_handovers_.end() ||
           now - seen->second > config_.handover_loop_window) {
         recent_handovers_[key] = now;
-        metrics_.vertex_handovers->Add();
-        if (shared != nullptr) msg->result = *shared;  // leaves the node
+        metrics_->vertex_handovers->Add();
         SendSeaweed(*closer, msg, TrafficCategory::kResult);
         return;
       }
-      metrics_.handovers_suppressed->Add();
+      metrics_->handovers_suppressed->Add();
     }
   }
   if (cancelled_.count(msg->query_id)) return;
@@ -1226,23 +1266,17 @@ void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
     ActiveQuery aq;
     aq.query.query_id = msg->query_id;
     aq.query.injected_at = sim()->Now();
-    active_[msg->query_id] = std::move(aq);
-    it = active_.find(msg->query_id);
+    it = active_.emplace(msg->query_id, std::move(aq)).first;
   }
   ActiveQuery& aq = it->second;
   VertexState& state = aq.vertices[vertex];
-  auto child = state.children.find(msg->child_key);
-  bool updated = false;
-  if (child == state.children.end() || child->second.first < msg->version) {
-    if (shared == nullptr) {
-      shared = std::make_shared<const db::AggregateResult>(msg->result);
-    }
-    state.children[msg->child_key] = {msg->version, std::move(shared)};
-    updated = true;
-    metrics_.vertex_updates->Add();
+  ChildEntry* entry = AdvanceChild(state.children, msg->child_key,
+                                   msg->version, aq.vertex_vector_bytes);
+  if (entry != nullptr) {
+    entry->result = std::make_shared<const db::AggregateResult>(msg->result);
+    metrics_->vertex_updates->Add();
   } else {
-    // Stale or replayed version: the dedup that makes retries safe.
-    metrics_.duplicates_suppressed->Add();
+    metrics_->duplicates_suppressed->Add();
   }
   // Ack the submitter (exactly-once hinges on ack-after-replicate).
   if (from.id != id()) {
@@ -1254,18 +1288,40 @@ void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
     ack->version = msg->version;
     SendSeaweed(from, ack, TrafficCategory::kResult);
   }
-  if (!updated) return;
-
-  // Inside a fold pass the replication joins the pass's per-backup
-  // messages; a submit outside one replicates before it returns.
-  ReplicateVertex(aq, vertex, msg->child_key);
-  if (!aq.folding) FlushReplicates(aq);
-  MarkVertexDirty(aq, vertex);
-  ScheduleVertexRepropagation(msg->query_id, vertex);
+  if (entry != nullptr) OnVertexUpdated(aq, vertex, state, *entry);
 }
 
-void SeaweedNode::MarkVertexDirty(ActiveQuery& aq, const NodeId& vertex_id) {
-  VertexState& state = aq.vertices[vertex_id];
+void SeaweedNode::FoldLocal(ActiveQuery& aq, const NodeId& vertex_id,
+                            VertexState& state, const NodeId& child,
+                            uint64_t version, ResultPtr result) {
+  ChildEntry* entry =
+      AdvanceChild(state.children, child, version, aq.vertex_vector_bytes);
+  if (entry == nullptr) {
+    metrics_->duplicates_suppressed->Add();
+    return;
+  }
+  entry->result = std::move(result);
+  metrics_->vertex_updates->Add();
+  OnVertexUpdated(aq, vertex_id, state, *entry);
+}
+
+void SeaweedNode::OnVertexUpdated(ActiveQuery& aq, const NodeId& vertex_id,
+                                  VertexState& state,
+                                  const ChildEntry& changed) {
+  if (repropagation_batch_ == nullptr ||
+      repropagation_batch_->query_id != aq.query.query_id) {
+    metrics_->vertex_updates_outside_pass->Add();
+  }
+  // Inside a fold pass the replication joins the pass's per-backup
+  // messages; a submit outside one replicates before it returns.
+  ReplicateVertex(aq, vertex_id, state, changed);
+  if (!aq.folding) FlushReplicates(aq);
+  MarkVertexDirty(aq, vertex_id, state);
+  ScheduleVertexRepropagation(aq, vertex_id, state);
+}
+
+void SeaweedNode::MarkVertexDirty(ActiveQuery& aq, const NodeId& vertex_id,
+                                  VertexState& state) {
   if (state.dirty) return;
   state.dirty = true;
   const NodeId& qid = aq.query.query_id;
@@ -1287,51 +1343,66 @@ void SeaweedNode::RunFoldPass(const NodeId& query_id) {
   ActiveQuery& aq = it->second;
   aq.fold_scheduled = false;
   if (aq.fold_queue.empty()) return;
-  metrics_.fold_passes->Add();
+  metrics_->fold_passes->Add();
   aq.folding = true;
-  bool root_dirty = false;
+  RepropagationBatch batch{query_id, {}};
+  repropagation_batch_ = &batch;
+  VertexState* root = nullptr;
   while (!aq.fold_queue.empty()) {
     std::pop_heap(aq.fold_queue.begin(), aq.fold_queue.end(),
                   std::greater<>());
     const NodeId vertex = aq.fold_queue.back().second;
     aq.fold_queue.pop_back();
-    aq.vertices[vertex].dirty = false;
-    metrics_.fold_vertices->Add();
+    VertexState& state = aq.vertices.find(vertex)->second;
+    state.dirty = false;
+    metrics_->fold_vertices->Add();
     if (vertex == query_id) {
       // The root sorts last: nothing is left to fold into it.
-      root_dirty = true;
+      root = &state;
       break;
     }
-    PropagateVertex(query_id, vertex);
+    PropagateVertex(aq, vertex, state);
   }
+  repropagation_batch_ = nullptr;
+  if (!batch.vertices.empty()) ArmRepropagation(std::move(batch));
   aq.folding = false;
   FlushReplicates(aq);
   // Last, because delivery may run the origin's observer, which can end the
   // query and erase `aq`.
-  if (root_dirty) PropagateVertex(query_id, query_id);
+  if (root != nullptr) PropagateVertex(aq, query_id, *root);
 }
 
 void SeaweedNode::ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
-                                  const NodeId& changed_child) {
-  VertexState& state = aq.vertices[vertex_id];
-  auto child = state.children.find(changed_child);
-  if (child == state.children.end()) return;
-  // Replicas: the m leafset members closest to the vertexId. A backup that
-  // has the baseline receives only the changed child entry (delta
-  // replication — full-state would cost O(fan-in) per update and the root
-  // vertex's fan-in grows with N); a backup seen for the first time gets
+                                  VertexState& state,
+                                  const ChildEntry& changed) {
+  // Replicas: the m leafset members closest to the vertexId, nearest first,
+  // found in one scan of the leafset. A backup that has the baseline
+  // receives only the changed child entry (delta replication — full-state
+  // would cost O(fan-in) per update); a backup seen for the first time gets
   // the full state, otherwise it would reconstruct a partial subtree after
   // primary failover.
-  std::vector<NodeHandle> members = pastry_->leafset().All();
-  const auto m = static_cast<std::ptrdiff_t>(std::min<size_t>(
-      static_cast<size_t>(config_.vertex_backups), members.size()));
-  std::partial_sort(members.begin(), members.begin() + m, members.end(),
-                    [&vertex_id](const NodeHandle& a, const NodeHandle& b) {
-                      return a.id.RingDistanceTo(vertex_id) <
-                             b.id.RingDistanceTo(vertex_id);
-                    });
-  for (std::ptrdiff_t i = 0; i < m; ++i) {
-    const NodeHandle& backup = members[static_cast<size_t>(i)];
+  const size_t m = static_cast<size_t>(config_.vertex_backups);
+  auto& closest = closest_scratch_;
+  closest.clear();
+  auto consider = [&](const NodeHandle& member) {
+    NodeId d = member.id.RingDistanceTo(vertex_id);
+    if (closest.size() == m && !(d < closest.back().first)) return;
+    // A small ring lists a member on both sides; keep one copy.
+    for (const auto& c : closest) {
+      if (c.second->id == member.id) return;
+    }
+    auto at = std::upper_bound(
+        closest.begin(), closest.end(), d,
+        [](const NodeId& dist, const auto& c) { return dist < c.first; });
+    closest.insert(at, {d, &member});
+    if (closest.size() > m) closest.pop_back();
+  };
+  if (m > 0) {
+    for (const NodeHandle& member : pastry_->leafset().cw()) consider(member);
+    for (const NodeHandle& member : pastry_->leafset().ccw()) consider(member);
+  }
+  for (const auto& [dist, member] : closest) {
+    const NodeHandle& backup = *member;
     auto out = std::find_if(aq.replicates.begin(), aq.replicates.end(),
                             [&backup](const PendingReplicate& p) {
                               return p.backup.id == backup.id;
@@ -1347,64 +1418,86 @@ void SeaweedNode::ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
     auto [slot, fresh] = out->index.emplace(vertex_id, replicas.size());
     if (fresh) replicas.push_back({vertex_id, {}});
     auto& entries = replicas[slot->second].entries;
-    if (state.synced_backups.count(backup.id)) {
-      entries.push_back({changed_child, child->second.first,
-                         child->second.second});
+    auto& synced = state.synced_backups;
+    if (std::find(synced.begin(), synced.end(), backup.id) != synced.end()) {
+      entries.push_back(changed);
       continue;
     }
-    for (const auto& [key, entry] : state.children) {
-      entries.push_back({key, entry.first, entry.second});
-    }
-    state.synced_backups.insert(backup.id);
+    entries.insert(entries.end(), state.children.begin(),
+                   state.children.end());
+    const size_t capacity = synced.capacity();
+    synced.push_back(backup.id);
+    aq.vertex_vector_bytes += (synced.capacity() - capacity) * sizeof(NodeId);
   }
 }
 
 void SeaweedNode::FlushReplicates(ActiveQuery& aq) {
   for (const PendingReplicate& out : aq.replicates) {
-    metrics_.replicate_msgs->Add();
-    metrics_.replicate_bytes->Add(out.msg->WireBytes());
+    metrics_->replicate_msgs->Add();
+    metrics_->replicate_bytes->Add(out.msg->WireBytes());
     SendSeaweed(out.backup, out.msg, TrafficCategory::kResult);
   }
   aq.replicates.clear();
 }
 
-void SeaweedNode::ScheduleVertexRepropagation(const NodeId& query_id,
-                                              const NodeId& vertex_id) {
-  auto it = active_.find(query_id);
-  if (it == active_.end()) return;
-  VertexState& state = it->second.vertices[vertex_id];
+void SeaweedNode::ScheduleVertexRepropagation(ActiveQuery& aq,
+                                              const NodeId& vertex_id,
+                                              VertexState& state) {
   if (state.repropagate_scheduled) return;
   state.repropagate_scheduled = true;
+  if (repropagation_batch_ != nullptr &&
+      repropagation_batch_->query_id == aq.query.query_id) {
+    repropagation_batch_->vertices.push_back(vertex_id);
+    return;
+  }
+  ArmRepropagation({aq.query.query_id, {vertex_id}});
+}
+
+void SeaweedNode::ArmRepropagation(RepropagationBatch batch) {
+  // Every timer a pass or round collects shares its due time, and nothing
+  // else a pass runs is due then, so one timer firing them in request order
+  // runs exactly what one timer per vertex would have run.
+  metrics_->repropagation_timers->Add();
   uint64_t gen = generation_;
-  sim()->After(config_.result_refresh_period, [this, gen, query_id,
-                                               vertex_id] {
+  sim()->After(config_.result_refresh_period,
+               [this, gen, batch = std::move(batch)] {
     if (gen != generation_) return;
-    auto it2 = active_.find(query_id);
-    if (it2 == active_.end()) return;
-    auto vit = it2->second.vertices.find(vertex_id);
-    if (vit == it2->second.vertices.end()) return;
-    vit->second.repropagate_scheduled = false;
-    // Only the current primary speaks for the vertex.
-    if (IsLikelyRootFor(vertex_id)) {
-      metrics_.vertex_repropagations->Add();
-      PropagateVertex(query_id, vertex_id);
-    }
-    ScheduleVertexRepropagation(query_id, vertex_id);
+    RunRepropagationRound(batch);
   });
 }
 
-void SeaweedNode::PropagateVertex(const NodeId& query_id,
-                                  const NodeId& vertex_id) {
-  auto it = active_.find(query_id);
-  if (it == active_.end()) return;
-  ActiveQuery& aq = it->second;
-  auto vit = aq.vertices.find(vertex_id);
-  if (vit == aq.vertices.end()) return;
-  VertexState& state = vit->second;
+void SeaweedNode::RunRepropagationRound(const RepropagationBatch& batch) {
+  metrics_->repropagation_rounds->Add();
+  const NodeId& query_id = batch.query_id;
+  RepropagationBatch next{query_id, {}};
+  repropagation_batch_ = &next;
+  for (const NodeId& vertex_id : batch.vertices) {
+    auto it = active_.find(query_id);
+    if (it == active_.end()) continue;
+    auto vit = it->second.vertices.find(vertex_id);
+    if (vit == it->second.vertices.end()) continue;
+    vit->second.repropagate_scheduled = false;
+    // Only the current primary speaks for the vertex.
+    if (IsLikelyRootFor(vertex_id)) {
+      metrics_->vertex_repropagations->Add();
+      PropagateVertex(it->second, vertex_id, vit->second);
+      // Root delivery may have ended the query.
+      it = active_.find(query_id);
+      if (it == active_.end()) continue;
+    }
+    ScheduleVertexRepropagation(it->second, vertex_id,
+                                it->second.vertices[vertex_id]);
+  }
+  repropagation_batch_ = nullptr;
+  if (!next.vertices.empty()) ArmRepropagation(std::move(next));
+}
+
+void SeaweedNode::PropagateVertex(ActiveQuery& aq, const NodeId& vertex_id,
+                                  VertexState& state) {
+  const NodeId& query_id = aq.query.query_id;
   ResultPtr merged = MergedVertexResult(state);
-  if (merged->HasSketchStates()) {
-    metrics_.sketch_merges->Add();
-    metrics_.sketch_state_bytes->Add(merged->SketchStateBytes());
+  if (state.children.size() > 1 && merged->HasSketchStates()) {
+    metrics_->sketch_merges->Add();
   }
   const bool root = vertex_id == query_id;
   const int b = pastry_->config().b;
@@ -1430,7 +1523,7 @@ void SeaweedNode::PropagateVertex(const NodeId& query_id,
     if (aq.is_origin && aq.observer.on_result) {
       if (aq.result_span != obs::kNoSpan) {
         tracer_->EndSpan(aq.result_span, sim()->Now());
-        metrics_.result_latency_us->Record(static_cast<uint64_t>(
+        metrics_->result_latency_us->Record(static_cast<uint64_t>(
             sim()->Now() - aq.query.injected_at));
         aq.result_span = obs::kNoSpan;
       }
@@ -1442,48 +1535,48 @@ void SeaweedNode::PropagateVertex(const NodeId& query_id,
       msg->kind = SeaweedMessage::Kind::kResultDeliver;
       msg->query_id = query_id;
       msg->vertex_id = vertex_id;
-      msg->result = *merged;
+      AttachResult(*msg, *merged);
       SendSeaweed(aq.query.origin, msg, TrafficCategory::kResult);
       ChargeQueryTx(aq, msg->WireBytes());
     }
     return;
   }
 
-  metrics_.vertex_fn_invocations->Add();
+  metrics_->vertex_fn_invocations->Add();
   if (local_parent) {
     // A backup that took over this vertex and its parent holds the parent's
     // entry for it, replicated at the old primary's version, while its own
     // counter restarts at 0. Continue past that version so the fold is not
     // dropped as a replay.
     auto pit = aq.vertices.find(parent);
-    if (pit != aq.vertices.end()) {
-      auto entry = pit->second.children.find(vertex_id);
-      if (entry != pit->second.children.end()) {
-        state.version = std::max(state.version, entry->second.first);
-      }
+    const ChildEntry* entry = pit == aq.vertices.end()
+                                  ? nullptr
+                                  : FindChild(pit->second.children, vertex_id);
+    if (entry != nullptr) {
+      state.version = std::max(state.version, entry->version);
     }
+    const uint64_t version = ++state.version;
+    state.pending_version = 0;
+    state.submit_tries = 0;
+    if (cancelled_.count(query_id)) return;
+    if (pit == aq.vertices.end()) pit = aq.vertices.try_emplace(parent).first;
+    FoldLocal(aq, parent, pit->second, vertex_id, version, std::move(merged));
+    return;
   }
+  // Track the submit until the parent acks it; retries re-propagate with a
+  // fresh version, so dedup at the parent keeps them exactly-once.
   auto msg = std::make_shared<SeaweedMessage>();
   msg->kind = SeaweedMessage::Kind::kResultSubmit;
   msg->query_id = query_id;
   msg->vertex_id = parent;
   msg->child_key = vertex_id;
   msg->version = ++state.version;
-  if (local_parent) {
-    state.pending_version = 0;
-    state.submit_tries = 0;
-    HandleResultSubmit(pastry_->handle(), msg, std::move(merged));
-  } else {
-    // Track the submit until the parent acks it; retries re-propagate with
-    // a fresh version, so dedup at the parent keeps them exactly-once.
-    msg->result = *merged;
-    ++state.submit_tries;
-    state.pending_version = msg->version;
-    RouteSeaweed(parent, msg, TrafficCategory::kResult);
-    ChargeQueryTx(aq, msg->WireBytes());
-    ArmVertexAckTimeout(query_id, vertex_id, msg->version,
-                        state.submit_tries);
-  }
+  AttachResult(*msg, *merged);
+  ++state.submit_tries;
+  state.pending_version = msg->version;
+  RouteSeaweed(parent, msg, TrafficCategory::kResult);
+  ChargeQueryTx(aq, msg->WireBytes());
+  ArmVertexAckTimeout(query_id, vertex_id, msg->version, state.submit_tries);
 }
 
 void SeaweedNode::ArmVertexAckTimeout(const NodeId& query_id,
@@ -1502,14 +1595,27 @@ void SeaweedNode::ArmVertexAckTimeout(const NodeId& query_id,
     if (state.pending_version != version) return;  // acked or superseded
     if (it->second.query.ExpiredAt(sim()->Now())) return;
     if (state.submit_tries > config_.max_result_retries) {
-      metrics_.vertex_giveups->Add();
+      metrics_->vertex_giveups->Add();
       state.pending_version = 0;
       state.submit_tries = 0;  // fresh budget for the periodic repropagation
       return;
     }
-    metrics_.vertex_retries->Add();
-    PropagateVertex(query_id, vertex_id);  // bumps version and re-arms
+    metrics_->vertex_retries->Add();
+    PropagateVertex(it->second, vertex_id, state);  // bumps version, re-arms
   });
+}
+
+SeaweedNode::VertexFootprint SeaweedNode::vertex_footprint() const {
+  // A table node is the entry plus its next pointer and cached hash.
+  constexpr size_t kNodeBytes =
+      sizeof(VertexTable::value_type) + 2 * sizeof(void*);
+  VertexFootprint out;
+  for (const auto& [qid, aq] : active_) {
+    out.vertices += aq.vertices.size();
+    out.bytes += aq.vertices.bucket_count() * sizeof(void*) +
+                 aq.vertices.size() * kNodeBytes + aq.vertex_vector_bytes;
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -1554,7 +1660,7 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
         ActiveQuery& origin_aq = it->second;
         if (origin_aq.dissem_span != obs::kNoSpan) {
           tracer_->EndSpan(origin_aq.dissem_span, sim()->Now());
-          metrics_.predictor_latency_us->Record(static_cast<uint64_t>(
+          metrics_->predictor_latency_us->Record(static_cast<uint64_t>(
               sim()->Now() - origin_aq.query.injected_at));
           origin_aq.dissem_span = obs::kNoSpan;
         }
@@ -1590,15 +1696,15 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
         ActiveQuery aq;
         aq.query.query_id = msg->query_id;
         aq.query.injected_at = sim()->Now();
-        active_[msg->query_id] = std::move(aq);
-        it = active_.find(msg->query_id);
+        it = active_.emplace(msg->query_id, std::move(aq)).first;
       }
+      ActiveQuery& aq = it->second;
       for (const auto& replica : msg->replicas) {
-        VertexState& state = it->second.vertices[replica.vertex_id];
+        auto& children = aq.vertices[replica.vertex_id].children;
         for (const auto& e : replica.entries) {
-          auto c = state.children.find(e.child);
-          if (c == state.children.end() || c->second.first < e.version) {
-            state.children[e.child] = {e.version, e.result};
+          if (ChildEntry* entry = AdvanceChild(children, e.child, e.version,
+                                               aq.vertex_vector_bytes)) {
+            entry->result = e.result;
           }
         }
       }
@@ -1610,7 +1716,7 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
         ActiveQuery& origin_aq = it->second;
         if (origin_aq.result_span != obs::kNoSpan) {
           tracer_->EndSpan(origin_aq.result_span, sim()->Now());
-          metrics_.result_latency_us->Record(static_cast<uint64_t>(
+          metrics_->result_latency_us->Record(static_cast<uint64_t>(
               sim()->Now() - origin_aq.query.injected_at));
           origin_aq.result_span = obs::kNoSpan;
         }

@@ -104,10 +104,55 @@ struct QueryObserver {
       on_result;
 };
 
+// The Seaweed protocol's counters and histograms, resolved by name once per
+// registry: a cluster builds one and every node it owns records through it.
+struct SeaweedMetrics {
+  explicit SeaweedMetrics(obs::MetricsRegistry* reg);
+
+  obs::Counter* queries_injected;
+  obs::Counter* metadata_pushes;
+  obs::Counter* metadata_rereplications;
+  obs::Counter* predictor_merges;
+  obs::Counter* dissem_reissues;
+  obs::Counter* vertex_updates;
+  obs::Counter* vertex_handovers;
+  obs::Counter* vertex_repropagations;
+  // Re-propagation timers armed and rounds run, and vertex updates applied
+  // outside a fold pass or round (each may arm a timer of its own).
+  obs::Counter* repropagation_timers;
+  obs::Counter* repropagation_rounds;
+  obs::Counter* vertex_updates_outside_pass;
+  obs::Counter* vertex_fn_invocations;
+  obs::Counter* fold_passes;
+  obs::Counter* fold_vertices;
+  obs::Counter* replicate_msgs;
+  obs::Counter* replicate_bytes;
+  obs::Counter* leaf_retries;
+  obs::Counter* leaf_giveups;
+  obs::Counter* vertex_retries;
+  obs::Counter* vertex_giveups;
+  obs::Counter* handovers_suppressed;
+  obs::Counter* duplicates_suppressed;
+  obs::Counter* dissem_fastpath_reissues;
+  obs::Counter* dissem_refreshes;
+  obs::Counter* result_reroutes;
+  obs::Counter* queries_shed;
+  // Approximate-aggregate traffic: leaf submissions carrying sketch
+  // states, merges of two or more sketch-carrying children, and the
+  // encoded sketch bytes of every result put into a message.
+  obs::Counter* sketch_results;
+  obs::Counter* sketch_merges;
+  obs::Counter* sketch_state_bytes;
+  obs::Histogram* dissem_fanout;
+  obs::Histogram* predictor_latency_us;
+  obs::Histogram* result_latency_us;
+};
+
 class SeaweedNode : public overlay::PastryApp {
  public:
   SeaweedNode(overlay::OverlayNetwork* overlay, overlay::PastryNode* pastry,
-              DataProvider* data, const SeaweedConfig& config);
+              DataProvider* data, const SeaweedConfig& config,
+              const SeaweedMetrics* metrics);
 
   const NodeId& id() const { return pastry_->id(); }
   int index() const { return static_cast<int>(pastry_->address()); }
@@ -159,6 +204,14 @@ class SeaweedNode : public overlay::PastryApp {
   bool HasActiveQuery(const NodeId& query_id) const {
     return active_.count(query_id) > 0;
   }
+  // Result-plane vertex state held as primary or backup: entries, and their
+  // heap bytes (table nodes and buckets, children and backup vectors; the
+  // shared results themselves are not counted).
+  struct VertexFootprint {
+    uint64_t vertices = 0;
+    uint64_t bytes = 0;
+  };
+  VertexFootprint vertex_footprint() const;
   // Admission control: true when this node already originates
   // max_active_queries queries and a new injection would be shed.
   bool AtAdmissionLimit() const;
@@ -196,21 +249,29 @@ class SeaweedNode : public overlay::PastryApp {
   // folded vertices holds one copy. Copies are made only at the wire edge.
   using ResultPtr = std::shared_ptr<const db::AggregateResult>;
 
+  // One child's latest result at a vertex; the same layout a
+  // kVertexReplicate carries, so a full sync copies the vector.
+  using ChildEntry = SeaweedMessage::ReplicaEntry;
+
   struct VertexState {
-    std::map<NodeId, std::pair<uint64_t, ResultPtr>> children;
-    uint64_t version = 0;         // our version as a child of our parent
-    bool dirty = false;           // queued for the query's next fold pass
+    // Sorted by child key: the merge order and the full-sync order. A
+    // vertex's children differ from each other in one digit, so fan-in is
+    // small, and most vertices (a leaf's private chain) have exactly one.
+    std::vector<ChildEntry> children;
     // Backups known to hold this vertex's full state; others get a full
     // sync before deltas (a delta-only backup would reconstruct a partial
     // subtree after primary failover).
-    std::set<NodeId> synced_backups;
-    bool repropagate_scheduled = false;
+    std::vector<NodeId> synced_backups;
+    uint64_t version = 0;         // our version as a child of our parent
     // Upward-submit ack tracking: the version sent to our parent and not
     // yet acked (0 = nothing outstanding), and how many timeouts in a row
     // have fired for it.
     uint64_t pending_version = 0;
     int submit_tries = 0;
+    bool dirty = false;           // queued for the query's next fold pass
+    bool repropagate_scheduled = false;
   };
+  using VertexTable = std::unordered_map<NodeId, VertexState, NodeIdHash>;
 
   struct PendingSubmit {
     NodeId vertex_id;
@@ -225,13 +286,26 @@ class SeaweedNode : public overlay::PastryApp {
   struct PendingReplicate {
     overlay::NodeHandle backup;
     SeaweedMessagePtr msg;
-    std::map<NodeId, size_t> index;
+    std::unordered_map<NodeId, size_t, NodeIdHash> index;
+  };
+
+  // The vertices a fold pass or re-propagation round asks to re-propagate,
+  // in request order; the pass arms one timer for all of them.
+  struct RepropagationBatch {
+    NodeId query_id;
+    std::vector<NodeId> vertices;
   };
 
   struct ActiveQuery {
     Query query;
     std::map<std::string, RangeTask> tasks;
-    std::map<NodeId, VertexState> vertices;
+    // Nothing iterates this table in order, so hashing cannot leak into
+    // output; entries are node-based, so a held VertexState& survives the
+    // insertion of its parent.
+    VertexTable vertices;
+    // Heap bytes of every vertex's children and backup vectors, kept as
+    // they grow so the memory gauges need not walk the table.
+    size_t vertex_vector_bytes = 0;
     // Fold pass state: dirty vertices as a min-heap on (common-prefix length
     // with the queryId, vertexId), so a pass folds the deepest first and
     // the root last; whether the pass timer is armed or the pass running;
@@ -304,33 +378,54 @@ class SeaweedNode : public overlay::PastryApp {
   bool IsLikelyRootFor(const NodeId& key) const;
   void SubmitLeafResult(const NodeId& query_id);
   void RetryLeafSubmit(const NodeId& query_id, uint64_t version);
-  // Applies a child's submission to the vertex. A local submit passes its
-  // result as `shared` (msg->result unset); a remote one carries it in msg.
+  // Applies a child's submission that arrived in a message, handing it to
+  // a closer node when this one does not own the vertex.
   void HandleResultSubmit(const overlay::NodeHandle& from,
-                          const SeaweedMessagePtr& msg,
-                          ResultPtr shared = nullptr);
+                          const SeaweedMessagePtr& msg);
+  // Applies a submit this node makes to a vertex it owns, without a
+  // message: its own leaf result, or a fold into a local parent.
+  void FoldLocal(ActiveQuery& aq, const NodeId& vertex_id,
+                 VertexState& state, const NodeId& child, uint64_t version,
+                 ResultPtr result);
+  // After a child entry changed: replicates it, queues the vertex for the
+  // fold pass and schedules its periodic re-propagation.
+  void OnVertexUpdated(ActiveQuery& aq, const NodeId& vertex_id,
+                       VertexState& state, const ChildEntry& changed);
   // Queues the vertex for the query's fold pass, arming the pass timer
   // unless a pass is armed or running.
-  void MarkVertexDirty(ActiveQuery& aq, const NodeId& vertex_id);
+  void MarkVertexDirty(ActiveQuery& aq, const NodeId& vertex_id,
+                       VertexState& state);
   // Folds the dirty vertices deepest first; a fold into a locally owned
   // parent marks it dirty in the same pass. Sends the collected replication
   // before delivering the root's result.
   void RunFoldPass(const NodeId& query_id);
-  void PropagateVertex(const NodeId& query_id, const NodeId& vertex_id);
+  // Submits the vertex's merged result to its parent, or delivers it to
+  // the origin from the root. Root delivery may run the origin's observer,
+  // which can erase `aq`.
+  void PropagateVertex(ActiveQuery& aq, const NodeId& vertex_id,
+                       VertexState& state);
   // Arms the ack timeout for an interior submit of `version`; on expiry the
   // vertex re-propagates (with a fresh version) up to max_result_retries
   // times with exponential backoff.
   void ArmVertexAckTimeout(const NodeId& query_id, const NodeId& vertex_id,
                            uint64_t version, int tries);
   // Periodic upward re-propagation: repairs aggregates lost to vertex
-  // primary failover anywhere above us within one refresh period.
-  void ScheduleVertexRepropagation(const NodeId& query_id,
-                                   const NodeId& vertex_id);
+  // primary failover anywhere above us within one refresh period. Inside a
+  // fold pass or re-propagation round the vertex joins the open batch;
+  // otherwise it gets a timer of its own.
+  void ScheduleVertexRepropagation(ActiveQuery& aq, const NodeId& vertex_id,
+                                   VertexState& state);
+  void ArmRepropagation(RepropagationBatch batch);
+  // What each vertex's own timer would do, vertex by vertex in batch order:
+  // propagate if still primary, then re-arm (into the round's own batch).
+  void RunRepropagationRound(const RepropagationBatch& batch);
   // Adds the vertex's changed child (or, for a backup not yet synced, its
   // full state) to each backup's pending kVertexReplicate.
   void ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
-                       const NodeId& changed_child);
+                       VertexState& state, const ChildEntry& changed);
   void FlushReplicates(ActiveQuery& aq);
+  // Copies `result` into an outgoing message, charging its sketch bytes.
+  void AttachResult(SeaweedMessage& msg, const db::AggregateResult& result);
   ResultPtr MergedVertexResult(const VertexState& state) const;
 
   // --- Query lifecycle ---
@@ -354,43 +449,8 @@ class SeaweedNode : public overlay::PastryApp {
   DataProvider* data_;
   SeaweedConfig config_;
 
-  // Pre-resolved observability handles (system-wide instruments; each node
-  // holds its own copies of the same pointers).
-  struct Metrics {
-    obs::Counter* queries_injected;
-    obs::Counter* metadata_pushes;
-    obs::Counter* metadata_rereplications;
-    obs::Counter* predictor_merges;
-    obs::Counter* dissem_reissues;
-    obs::Counter* vertex_updates;
-    obs::Counter* vertex_handovers;
-    obs::Counter* vertex_repropagations;
-    obs::Counter* vertex_fn_invocations;
-    obs::Counter* fold_passes;
-    obs::Counter* fold_vertices;
-    obs::Counter* replicate_msgs;
-    obs::Counter* replicate_bytes;
-    obs::Counter* leaf_retries;
-    obs::Counter* leaf_giveups;
-    obs::Counter* vertex_retries;
-    obs::Counter* vertex_giveups;
-    obs::Counter* handovers_suppressed;
-    obs::Counter* duplicates_suppressed;
-    obs::Counter* dissem_fastpath_reissues;
-    obs::Counter* dissem_refreshes;
-    obs::Counter* result_reroutes;
-    obs::Counter* queries_shed;
-    // Approximate-aggregate traffic: leaf submissions carrying sketch
-    // states, interior folds of sketch-carrying children, and the encoded
-    // sketch bytes placed on the wire (leaf + interior propagations).
-    obs::Counter* sketch_results;
-    obs::Counter* sketch_merges;
-    obs::Counter* sketch_state_bytes;
-    obs::Histogram* dissem_fanout;
-    obs::Histogram* predictor_latency_us;
-    obs::Histogram* result_latency_us;
-  };
-  Metrics metrics_;
+  // Shared by every node recording into the same registry.
+  const SeaweedMetrics* metrics_;
   obs::TraceSink* tracer_;
 
   // Compiled plans keyed by query id: a long-running query re-executes
@@ -422,6 +482,10 @@ class SeaweedNode : public overlay::PastryApp {
   // leafsets disagree about vertex ownership mid-repair.
   std::map<std::tuple<NodeId, NodeId, NodeId, uint64_t>, SimTime>
       recent_handovers_;
+  // The fold pass or re-propagation round now running, if any.
+  RepropagationBatch* repropagation_batch_ = nullptr;
+  // ReplicateVertex's scratch: the closest backups, as (distance, member).
+  std::vector<std::pair<NodeId, const overlay::NodeHandle*>> closest_scratch_;
   uint64_t generation_ = 0;
   Rng rng_;
 };

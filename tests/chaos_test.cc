@@ -383,6 +383,69 @@ TEST(ChaosTest, RootChainPrimaryCrashBetweenFoldPasses) {
   EXPECT_EQ((*port443)[2].sum, 50.0 * static_cast<double>(per_port));
 }
 
+TEST(ChaosTest, PeriodicRepropagationAfterRootPrimaryCrash) {
+  // Every vertex re-propagates once per result_refresh_period for as long
+  // as its query lives; a fold pass or a re-propagation round arms one
+  // timer for all the vertices it touched. Crash the root chain's primary
+  // after the first round: the backups take over, and the rounds after the
+  // crash must keep the result exact and never overcount.
+  const int n = 24;
+  ClusterOptions opts;
+  opts.WithEndsystems(n).WithSeed(5).WithSummaryWireBytes(0);
+  SeaweedCluster cluster(opts, MakeToyData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(10 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+  const SimDuration period = opts.seaweed().result_refresh_period;
+
+  const int64_t per_port = ToyMatching(n);
+  bool overcounted = false;
+  bool crashed = false;
+  int deliveries_after_crash = 0;
+  db::AggregateResult latest;
+  QueryObserver obs;
+  obs.on_result = [&](const NodeId&, const db::AggregateResult& r) {
+    latest = r;
+    if (r.rows_matched > per_port || r.endsystems > n) overcounted = true;
+    if (crashed) ++deliveries_after_crash;
+  };
+  const SimTime injected = cluster.sim().Now();
+  auto qid = cluster.InjectQuery(
+      0, "SELECT COUNT(*), SUM(bytes) FROM Flow WHERE port = 80",
+      std::move(obs), /*ttl=*/6 * kHour);
+  ASSERT_TRUE(qid.ok()) << qid.status();
+  int primary = 0;
+  for (int e = 1; e < n; ++e) {
+    if (cluster.pastry_node(e)->id().RingDistanceTo(*qid) <
+        cluster.pastry_node(primary)->id().RingDistanceTo(*qid)) {
+      primary = e;
+    }
+  }
+  ASSERT_NE(primary, 0);
+
+  // The first round runs one period after the first fold passes.
+  cluster.sim().RunUntil(injected + period + 2 * kMinute);
+  EXPECT_GT(CounterValue(cluster, "seaweed.repropagation_rounds"), 0u);
+  EXPECT_EQ(latest.endsystems, n);
+  cluster.BringDown(primary);
+  crashed = true;
+  cluster.sim().RunUntil(injected + 3 * period);
+
+  EXPECT_GT(CounterValue(cluster, "seaweed.vertex_repropagations"), 0u);
+  EXPECT_FALSE(overcounted);
+  EXPECT_GT(deliveries_after_crash, 0);
+  EXPECT_EQ(latest.endsystems, n);
+  EXPECT_EQ(latest.rows_matched, per_port);
+  ASSERT_EQ(latest.states.size(), 2u);
+  EXPECT_EQ(latest.states[1].sum, 100.0 * static_cast<double>(per_port));
+  // One timer per fold pass or round that asked for any, plus at most one
+  // per vertex update made outside them — never one per vertex folded.
+  EXPECT_LE(CounterValue(cluster, "seaweed.repropagation_timers"),
+            CounterValue(cluster, "seaweed.fold_passes") +
+                CounterValue(cluster, "seaweed.repropagation_rounds") +
+                CounterValue(cluster, "seaweed.vertex_updates_outside_pass"));
+}
+
 // One full run of a smaller chaos scenario, returning the obs exports.
 std::pair<std::string, std::string> RunOnce() {
   const int n = 20;

@@ -96,6 +96,10 @@ TEST(Determinism, EngineGaugesPublished) {
   EXPECT_NE(a.metrics_jsonl.find("mem.meta.store_bytes"), std::string::npos);
   EXPECT_NE(a.metrics_jsonl.find("mem.sim.event_queue_bytes"),
             std::string::npos);
+  EXPECT_NE(a.metrics_jsonl.find("\"mem.seaweed.vertices\""),
+            std::string::npos);
+  EXPECT_NE(a.metrics_jsonl.find("\"mem.seaweed.vertex_bytes\""),
+            std::string::npos);
 }
 
 }  // namespace

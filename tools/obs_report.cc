@@ -372,7 +372,10 @@ void PrintPipeline(const Dump& d) {
 // per query and node per debounce; a pass folds the locally owned chain of
 // vertex-id levels in one step), and what goes to the vertex backups: one
 // kVertexReplicate per backup per pass, plus one per backup for each
-// remote submit that arrives between passes.
+// remote submit that arrives between passes. Then the vertex state the
+// nodes hold as primaries and backups (gauges: at dump, and peak), and the
+// periodic re-propagation: one timer per pass or round that asked for one,
+// plus one per vertex update outside them.
 void PrintResultPlane(const Dump& d) {
   const uint64_t updates = CounterOr0(d, "seaweed.vertex_updates");
   const uint64_t passes = CounterOr0(d, "seaweed.fold_passes");
@@ -394,6 +397,20 @@ void PrintResultPlane(const Dump& d) {
     std::printf("  %-36s %12.1f\n", "bytes per replicate message",
                 static_cast<double>(bytes) / static_cast<double>(msgs));
   }
+  const std::pair<const char*, const char*> kVertexGauges[] = {
+      {"mem.seaweed.vertices", "vertex entries held"},
+      {"mem.seaweed.vertex_bytes", "vertex state bytes"},
+  };
+  for (const auto& [name, label] : kVertexGauges) {
+    if (auto it = d.gauges.find(name); it != d.gauges.end()) {
+      std::printf("  %-36s %12" PRId64 " (peak %" PRId64 ")\n", label,
+                  it->second.first, it->second.second);
+    }
+  }
+  std::printf("  %-36s %12" PRIu64 "\n", "re-propagation timers armed",
+              CounterOr0(d, "seaweed.repropagation_timers"));
+  std::printf("  %-36s %12" PRIu64 "\n", "re-propagation rounds",
+              CounterOr0(d, "seaweed.repropagation_rounds"));
 }
 
 void PrintSketches(const Dump& d) {
@@ -404,13 +421,9 @@ void PrintSketches(const Dump& d) {
   std::printf("\n== approximate aggregates (sketches) ==\n");
   std::printf("  %-36s %12" PRIu64 "\n", "leaf results with sketch states",
               results);
-  std::printf("  %-36s %12" PRIu64 "\n", "interior sketch folds", merges);
+  std::printf("  %-36s %12" PRIu64 "\n", "sketch merges (2+ children)",
+              merges);
   std::printf("  %-36s %12" PRIu64 "\n", "sketch bytes on wire", bytes);
-  if (results + merges > 0) {
-    std::printf("  %-36s %12.1f\n", "sketch bytes per carrying result",
-                static_cast<double>(bytes) /
-                    static_cast<double>(results + merges));
-  }
 }
 
 void PrintRepairs(const Dump& d) {
