@@ -187,15 +187,13 @@ void BM_AggregateScan(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregateScan)->Arg(1000)->Arg(10000);
 
-// --- Batch vs scalar execution engine (BENCH_query_exec.json) ---
+// --- Batch execution engine (BENCH_query_exec.json) ---
 //
 // Synthetic table mirroring the Anemone Flow shape: a dictionary-coded app
 // column, two indexed int columns, and a payload column. Three workloads:
 //  * Selective — WHERE port = K, ~1% of rows match (filter-dominated).
 //  * Dense     — WHERE bytes >= K, ~90% match plus SUM (aggregation-heavy).
 //  * GroupBy   — GROUP BY app with COUNT/SUM (dense dict accumulators).
-// Each has a *Scalar twin running the retained row-at-a-time engine, so
-// ns/row before vs after comes from one binary.
 
 std::unique_ptr<db::Table> BenchTable(int64_t rows) {
   db::Schema schema({
@@ -216,12 +214,11 @@ std::unique_ptr<db::Table> BenchTable(int64_t rows) {
   return t;
 }
 
-template <auto Exec>
 void AggregateBench(benchmark::State& state, const char* sql) {
   auto table = BenchTable(state.range(0));
   auto q = db::ParseSelect(sql);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Exec(*table, *q));
+    benchmark::DoNotOptimize(db::ExecuteAggregate(*table, *q));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -234,37 +231,19 @@ constexpr const char* kGroupBySql =
     "SELECT app, COUNT(*), SUM(bytes) FROM t WHERE port < 50 GROUP BY app";
 
 void BM_ExecuteAggregateSelective(benchmark::State& state) {
-  AggregateBench<db::ExecuteAggregate>(state, kSelectiveSql);
+  AggregateBench(state, kSelectiveSql);
 }
 BENCHMARK(BM_ExecuteAggregateSelective)->Arg(10000)->Arg(100000)->Arg(1000000);
 
-void BM_ExecuteAggregateSelectiveScalar(benchmark::State& state) {
-  AggregateBench<db::ExecuteAggregateScalar>(state, kSelectiveSql);
-}
-BENCHMARK(BM_ExecuteAggregateSelectiveScalar)
-    ->Arg(10000)->Arg(100000)->Arg(1000000);
-
 void BM_ExecuteAggregateDense(benchmark::State& state) {
-  AggregateBench<db::ExecuteAggregate>(state, kDenseSql);
+  AggregateBench(state, kDenseSql);
 }
 BENCHMARK(BM_ExecuteAggregateDense)->Arg(10000)->Arg(100000)->Arg(1000000);
 
-void BM_ExecuteAggregateDenseScalar(benchmark::State& state) {
-  AggregateBench<db::ExecuteAggregateScalar>(state, kDenseSql);
-}
-BENCHMARK(BM_ExecuteAggregateDenseScalar)
-    ->Arg(10000)->Arg(100000)->Arg(1000000);
-
 void BM_ExecuteAggregateGroupBy(benchmark::State& state) {
-  AggregateBench<db::ExecuteAggregate>(state, kGroupBySql);
+  AggregateBench(state, kGroupBySql);
 }
 BENCHMARK(BM_ExecuteAggregateGroupBy)->Arg(10000)->Arg(100000)->Arg(1000000);
-
-void BM_ExecuteAggregateGroupByScalar(benchmark::State& state) {
-  AggregateBench<db::ExecuteAggregateScalar>(state, kGroupBySql);
-}
-BENCHMARK(BM_ExecuteAggregateGroupByScalar)
-    ->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_PartitionByClosestMember(benchmark::State& state) {
   Rng rng(8);

@@ -26,24 +26,6 @@ const char* CompareOpName(CompareOp op) {
   return "?";
 }
 
-bool EvalCompare(CompareOp op, int cmp3) {
-  switch (op) {
-    case CompareOp::kEq:
-      return cmp3 == 0;
-    case CompareOp::kNe:
-      return cmp3 != 0;
-    case CompareOp::kLt:
-      return cmp3 < 0;
-    case CompareOp::kLe:
-      return cmp3 <= 0;
-    case CompareOp::kGt:
-      return cmp3 > 0;
-    case CompareOp::kGe:
-      return cmp3 >= 0;
-  }
-  return false;
-}
-
 PredicatePtr Predicate::True() {
   static const PredicatePtr kTrueNode = std::make_shared<Predicate>();
   return kTrueNode;
@@ -75,12 +57,40 @@ PredicatePtr Predicate::Or(PredicatePtr l, PredicatePtr r) {
   return p;
 }
 
+namespace {
+
+// Renders a number so that re-parsing ToString() output yields the same
+// value (ToString doubles as the plan-cache fingerprint).
+std::string FormatNumber(double p) {
+  if (p == std::floor(p) && std::abs(p) < 1e15) {
+    return std::to_string(static_cast<int64_t>(p));
+  }
+  char buf[64];
+  snprintf(buf, sizeof(buf), "%.17g", p);
+  return buf;
+}
+
+// Renders a predicate literal so that it re-parses to the same value:
+// numbers through FormatNumber, strings quoted with '' escaping.
+std::string FormatLiteral(const Value& v) {
+  if (v.is_int64()) return std::to_string(v.AsInt64());
+  if (v.is_double()) return FormatNumber(v.AsDouble());
+  std::string out = "'";
+  for (char c : v.AsString()) {
+    out += c;
+    if (c == '\'') out += c;
+  }
+  return out + "'";
+}
+
+}  // namespace
+
 std::string Predicate::ToString() const {
   switch (kind) {
     case Kind::kTrue:
       return "TRUE";
     case Kind::kCompare:
-      return column + " " + CompareOpName(op) + " " + literal.ToString();
+      return column + " " + CompareOpName(op) + " " + FormatLiteral(literal);
     case Kind::kAnd:
       return "(" + left->ToString() + " AND " + right->ToString() + ")";
     case Kind::kOr:
@@ -93,21 +103,6 @@ double SelectItem::EffectiveParam() const {
   if (has_param) return param;
   return func != nullptr ? func->descriptor().default_param : 0;
 }
-
-namespace {
-
-// Renders a function parameter so that re-parsing ToString() output yields
-// the same value (ToString doubles as the plan-cache fingerprint).
-std::string FormatParam(double p) {
-  if (p == std::floor(p) && std::abs(p) < 1e15) {
-    return std::to_string(static_cast<int64_t>(p));
-  }
-  char buf[64];
-  snprintf(buf, sizeof(buf), "%.17g", p);
-  return buf;
-}
-
-}  // namespace
 
 bool SelectQuery::IsAggregateOnly() const {
   bool any_aggregate = false;
@@ -135,7 +130,7 @@ std::string SelectQuery::ToString() const {
       out += item.column.empty() ? "*" : item.column;
       if (item.has_param) {
         out += ", ";
-        out += FormatParam(item.param);
+        out += FormatNumber(item.param);
       }
       out += ")";
     } else {

@@ -33,9 +33,6 @@ enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 
 const char* CompareOpName(CompareOp op);
 
-// True iff `Compare(lhs,rhs) cmp 0` holds for the operator.
-bool EvalCompare(CompareOp op, int cmp3);
-
 struct Predicate;
 using PredicatePtr = std::shared_ptr<const Predicate>;
 

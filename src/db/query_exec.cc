@@ -76,138 +76,6 @@ Result<double> GetQuadField(Reader& r, uint8_t flags, int index,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Scalar reference predicate
-// ---------------------------------------------------------------------------
-
-Result<int> CompiledPredicate::BindNode(const PredicatePtr& pred,
-                                        const Table& table,
-                                        std::vector<Node>* nodes) {
-  Node node;
-  node.kind = pred->kind;
-  switch (pred->kind) {
-    case Predicate::Kind::kTrue:
-      break;
-    case Predicate::Kind::kCompare: {
-      SEAWEED_ASSIGN_OR_RETURN(int col,
-                               table.schema().RequireColumn(pred->column));
-      node.column_index = col;
-      node.column_type = table.schema().column(static_cast<size_t>(col)).type;
-      node.op = pred->op;
-      const Value& lit = pred->literal;
-      if (node.column_type == ColumnType::kString) {
-        if (!lit.is_string()) {
-          return Status::InvalidArgument(
-              "numeric literal compared against string column " +
-              pred->column);
-        }
-        if (pred->op != CompareOp::kEq && pred->op != CompareOp::kNe) {
-          // Range comparison on strings: fall back to lexicographic compare
-          // through the dictionary (slow path flagged by code -2).
-          node.string_code = -2;
-        } else {
-          node.string_code =
-              table.column(static_cast<size_t>(col)).DictCode(lit.AsString());
-        }
-        node.literal_is_int = false;
-        node.int_literal = 0;
-      } else {
-        if (lit.is_string()) {
-          return Status::InvalidArgument(
-              "string literal compared against numeric column " +
-              pred->column);
-        }
-        if (lit.is_int64()) {
-          node.int_literal = lit.AsInt64();
-          node.double_literal = static_cast<double>(lit.AsInt64());
-          node.literal_is_int = true;
-        } else {
-          node.double_literal = lit.AsDouble();
-          node.literal_is_int = false;
-        }
-      }
-      break;
-    }
-    case Predicate::Kind::kAnd:
-    case Predicate::Kind::kOr: {
-      SEAWEED_ASSIGN_OR_RETURN(int l, BindNode(pred->left, table, nodes));
-      SEAWEED_ASSIGN_OR_RETURN(int r, BindNode(pred->right, table, nodes));
-      node.left = l;
-      node.right = r;
-      break;
-    }
-  }
-  nodes->push_back(node);
-  return static_cast<int>(nodes->size()) - 1;
-}
-
-Result<CompiledPredicate> CompiledPredicate::Bind(const PredicatePtr& pred,
-                                                  const Table& table) {
-  CompiledPredicate cp;
-  // String range comparisons need the literal text; to keep Node POD-small
-  // we disallow the rare string-range case instead (Anemone queries never
-  // use it).
-  std::vector<Node> nodes;
-  SEAWEED_ASSIGN_OR_RETURN(int root, BindNode(pred, table, &nodes));
-  for (const Node& n : nodes) {
-    if (n.kind == Predicate::Kind::kCompare && n.string_code == -2) {
-      return Status::NotImplemented(
-          "range comparison on string column is not supported");
-    }
-  }
-  cp.nodes_ = std::move(nodes);
-  cp.root_ = root;
-  return cp;
-}
-
-bool CompiledPredicate::EvalNode(int idx, const Table& table,
-                                 size_t row) const {
-  const Node& n = nodes_[static_cast<size_t>(idx)];
-  switch (n.kind) {
-    case Predicate::Kind::kTrue:
-      return true;
-    case Predicate::Kind::kAnd:
-      return EvalNode(n.left, table, row) && EvalNode(n.right, table, row);
-    case Predicate::Kind::kOr:
-      return EvalNode(n.left, table, row) || EvalNode(n.right, table, row);
-    case Predicate::Kind::kCompare: {
-      const Column& col = table.column(static_cast<size_t>(n.column_index));
-      switch (n.column_type) {
-        case ColumnType::kInt64: {
-          int64_t v = col.Int64At(row);
-          if (n.literal_is_int) {
-            int cmp = (v < n.int_literal) ? -1 : (v > n.int_literal ? 1 : 0);
-            return EvalCompare(n.op, cmp);
-          }
-          double d = static_cast<double>(v);
-          int cmp =
-              (d < n.double_literal) ? -1 : (d > n.double_literal ? 1 : 0);
-          return EvalCompare(n.op, cmp);
-        }
-        case ColumnType::kDouble: {
-          double v = col.DoubleAt(row);
-          int cmp =
-              (v < n.double_literal) ? -1 : (v > n.double_literal ? 1 : 0);
-          return EvalCompare(n.op, cmp);
-        }
-        case ColumnType::kString: {
-          // Equality/inequality against a pre-resolved dictionary code.
-          bool eq = n.string_code >= 0 &&
-                    col.StringCodeAt(row) ==
-                        static_cast<uint32_t>(n.string_code);
-          return n.op == CompareOp::kEq ? eq : !eq;
-        }
-      }
-      return false;
-    }
-  }
-  return false;
-}
-
-bool CompiledPredicate::Matches(const Table& table, size_t row) const {
-  return EvalNode(root_, table, row);
-}
-
-// ---------------------------------------------------------------------------
 // Batch predicate
 // ---------------------------------------------------------------------------
 
@@ -869,105 +737,6 @@ Result<AggregateResult> ExecuteAggregate(const Table& table,
                                          const SelectQuery& query) {
   SEAWEED_ASSIGN_OR_RETURN(CompiledQuery plan, CompiledQuery::Bind(table, query));
   return plan.Execute(table);
-}
-
-Result<AggregateResult> ExecuteAggregateScalar(const Table& table,
-                                               const SelectQuery& query) {
-  if (!query.IsAggregateOnly()) {
-    return Status::InvalidArgument(
-        "distributed execution requires aggregate-only select list");
-  }
-  SEAWEED_ASSIGN_OR_RETURN(CompiledPredicate pred,
-                           CompiledPredicate::Bind(query.where, table));
-
-  // Resolve aggregate input columns.
-  struct AggInput {
-    const AggregateFunction* func = nullptr;
-    double param = 0;
-    int column = -1;  // -1 for COUNT(*) or the bare group-by column
-    bool is_group_column = false;
-    ColumnType type = ColumnType::kInt64;
-  };
-  std::vector<AggInput> inputs;
-  inputs.reserve(query.items.size());
-  for (const auto& item : query.items) {
-    AggInput in;
-    in.func = item.func;
-    in.param = item.EffectiveParam();
-    if (!item.is_aggregate) {
-      // IsAggregateOnly() guarantees this is the GROUP BY column.
-      in.is_group_column = true;
-      inputs.push_back(in);
-      continue;
-    }
-    const AggDescriptor& desc = item.func->descriptor();
-    if (!item.column.empty()) {
-      SEAWEED_ASSIGN_OR_RETURN(in.column,
-                               table.schema().RequireColumn(item.column));
-      in.type = table.schema().column(static_cast<size_t>(in.column)).type;
-      if (in.type == ColumnType::kString && !desc.allows_string) {
-        return Status::InvalidArgument("cannot " + item.func->name() +
-                                       " a string column");
-      }
-    } else if (!desc.allows_star) {
-      return Status::InvalidArgument("only COUNT may take '*'");
-    }
-    SEAWEED_RETURN_NOT_OK(item.func->ValidateParam(in.param));
-    inputs.push_back(in);
-  }
-
-  int group_column = -1;
-  if (!query.group_by.empty()) {
-    SEAWEED_ASSIGN_OR_RETURN(group_column,
-                             table.schema().RequireColumn(query.group_by));
-  }
-
-  AggregateResult result;
-  result.states.resize(query.items.size());
-  result.endsystems = 1;
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    const AggInput& in = inputs[i];
-    if (in.func != nullptr) in.func->InitState(result.states[i], in.param);
-  }
-  const size_t n = table.num_rows();
-  const size_t arity = query.items.size();
-  for (size_t row = 0; row < n; ++row) {
-    if (!pred.Matches(table, row)) continue;
-    ++result.rows_matched;
-    std::vector<AggState>* group = nullptr;
-    if (group_column >= 0) {
-      Value key =
-          table.column(static_cast<size_t>(group_column)).ValueAt(row);
-      group = &result.GroupStates(key, arity);
-    }
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      const AggInput& in = inputs[i];
-      if (in.is_group_column) continue;  // rendered from the group key
-      AggState& state = group ? (*group)[i] : result.states[i];
-      if (group && in.func->IsSketch() && state.sketch == nullptr) {
-        in.func->InitState(state, in.param);
-      }
-      if (in.column < 0 || in.type == ColumnType::kString) {
-        if (in.func->IsSketch() && in.column >= 0) {
-          const Column& col = table.column(static_cast<size_t>(in.column));
-          const std::string& s = col.DictEntry(col.StringCodeAt(row));
-          state.AddString(s);
-          if (group) result.states[i].AddString(s);
-        } else {
-          state.AddCountOnly();
-          if (group) result.states[i].AddCountOnly();
-        }
-        continue;
-      }
-      const Column& col = table.column(static_cast<size_t>(in.column));
-      double v = in.type == ColumnType::kInt64
-                     ? static_cast<double>(col.Int64At(row))
-                     : col.DoubleAt(row);
-      state.Add(v);
-      if (group) result.states[i].Add(v);
-    }
-  }
-  return result;
 }
 
 Result<int64_t> CountMatching(const Table& table, const SelectQuery& query) {

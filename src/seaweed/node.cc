@@ -201,8 +201,6 @@ void SeaweedNode::OnStopping() {
   active_.clear();
   recent_handovers_.clear();
   plan_cache_.Clear();
-  last_pushed_summary_.reset();
-  replicas_with_summary_.clear();
 }
 
 void SeaweedNode::OnNeighborFailed(const NodeHandle& neighbor) {
@@ -416,7 +414,7 @@ bool SeaweedNode::LikelyReplicaFor(const NodeId& owner,
   return between < config_.metadata_replicas / 2;
 }
 
-void SeaweedNode::PushMetadataTo(const NodeHandle& to, bool allow_delta) {
+void SeaweedNode::PushMetadataTo(const NodeHandle& to) {
   auto msg = std::make_shared<SeaweedMessage>();
   msg->kind = SeaweedMessage::Kind::kMetadataPush;
   msg->metadata.owner = id();
@@ -438,14 +436,6 @@ void SeaweedNode::PushMetadataTo(const NodeHandle& to, bool allow_delta) {
     }
   }
   msg->metadata_wire_bytes = data_->SummaryWireBytes(index());
-  if (allow_delta && config_.delta_encoded_summaries &&
-      last_pushed_summary_.has_value() &&
-      replicas_with_summary_.count(to.id)) {
-    // Replica holds the previous version: only the changed buckets travel.
-    msg->metadata_wire_bytes = static_cast<uint32_t>(
-        db::SummaryDeltaBytes(*last_pushed_summary_, msg->metadata.summary));
-  }
-  replicas_with_summary_.insert(to.id);
   metrics_->metadata_pushes->Add();
   SendSeaweed(to, msg, TrafficCategory::kMetadata);
 }
@@ -454,10 +444,7 @@ void SeaweedNode::PushMetadataTick(uint64_t generation) {
   if (generation != generation_ || !pastry_->joined()) return;
   ++metadata_version_;
   for (const auto& replica : ReplicaSet()) {
-    PushMetadataTo(replica, /*allow_delta=*/true);
-  }
-  if (config_.delta_encoded_summaries) {
-    last_pushed_summary_ = data_->Summary(index());
+    PushMetadataTo(replica);
   }
   // Evict records we are no longer responsible for (the owner's replica set
   // drifted away from us as nodes joined); keeps the store O(k). Unlike the

@@ -24,7 +24,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <tuple>
 #include <unordered_map>
 
@@ -49,10 +48,6 @@ struct SeaweedConfig {
   int metadata_replicas = 8;            // k of Table 1 (sim uses 8)
   int vertex_backups = 3;               // m (§4.3.1)
   SimDuration summary_push_period = static_cast<SimDuration>(17.5 * kMinute);
-  // Charge delta-encoded bytes for periodic summary re-pushes to replicas
-  // that already hold the previous version (§3.2.2 optimization). New
-  // replica members always receive the full summary.
-  bool delta_encoded_summaries = false;
   SimDuration child_timeout = 10 * kSecond;  // predictor reissue window
   int max_child_retries = 4;
   // After max_child_retries the subrange is reported as uncovered, but not
@@ -333,7 +328,7 @@ class SeaweedNode : public overlay::PastryApp {
 
   // --- Metadata plane ---
   void PushMetadataTick(uint64_t generation);
-  void PushMetadataTo(const overlay::NodeHandle& to, bool allow_delta = false);
+  void PushMetadataTo(const overlay::NodeHandle& to);
   // Drops records of owners believed up that we no longer qualify as a
   // replica for (safe any time: live owners re-push every period). Records
   // of down owners are only evicted by the periodic tick.
@@ -463,10 +458,6 @@ class SeaweedNode : public overlay::PastryApp {
   AvailabilityModel own_model_;
   SimTime went_down_at_ = -1;
   uint64_t metadata_version_ = 0;
-  // Previous pushed summary (delta encoding) and the replicas known to hold
-  // it; volatile — reset on rejoin so fresh replicas get full pushes.
-  std::optional<db::DatabaseSummary> last_pushed_summary_;
-  std::set<NodeId> replicas_with_summary_;
   // §3.4: the leaf "persists that vertexId with the query". Recomputing the
   // entry vertex after churn could inject our contribution at two depths of
   // the same chain and double-count it, so the first choice is sticky.

@@ -10,6 +10,7 @@
 #include "db/aggregate.h"
 #include "db/histogram.h"
 #include "db/query_exec.h"
+#include "db/sql_parser.h"
 #include "seaweed/availability_model.h"
 #include "seaweed/completeness.h"
 #include "seaweed/id_range.h"
@@ -335,13 +336,13 @@ TEST_P(MergeProperty, PredictorMergeMatchesPointwiseSum) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MergeProperty,
                          ::testing::Values(5, 55, 555));
 
-// --- Differential: batch engine vs scalar reference engine ---
+// --- Plan caching over random tables and predicate trees ---
 //
-// Random tables and random predicate trees over all three column types;
-// the vectorized executor must produce results identical to the retained
-// row-at-a-time path — same states, same group keys, same rows_matched.
+// Random tables and random predicate trees over all three column types.
+// The batch engine's answers themselves are checked against SQLite in
+// sqlite_oracle_test.cc.
 
-class BatchVsScalarProperty : public ::testing::TestWithParam<uint64_t> {};
+class PlanCacheProperty : public ::testing::TestWithParam<uint64_t> {};
 
 namespace diff {
 
@@ -446,32 +447,10 @@ std::unique_ptr<db::Table> RandomTable(Rng& rng) {
 
 }  // namespace diff
 
-TEST_P(BatchVsScalarProperty, IdenticalResultsOnRandomTablesAndQueries) {
-  Rng rng(GetParam());
-  for (int trial = 0; trial < 250; ++trial) {
-    auto table = diff::RandomTable(rng);
-    db::SelectQuery query = diff::RandomQuery(rng);
-    auto batch = db::ExecuteAggregate(*table, query);
-    auto scalar = db::ExecuteAggregateScalar(*table, query);
-    ASSERT_EQ(batch.ok(), scalar.ok())
-        << "trial " << trial << ": " << query.ToString();
-    if (!batch.ok()) continue;
-    // Defaulted operator== — exact match of every AggState (sum, count,
-    // min, max), every group key, rows_matched, and endsystems.
-    EXPECT_EQ(*batch, *scalar) << "trial " << trial << "\nquery  "
-                               << query.ToString() << "\nrows   "
-                               << table->num_rows();
-    // CountMatching (batch) agrees with the matched-row count too.
-    auto counted = db::CountMatching(*table, query);
-    ASSERT_TRUE(counted.ok());
-    EXPECT_EQ(*counted, scalar->rows_matched);
-  }
-}
-
 // Plan caching must not change results: a cached plan re-executed against a
 // structurally identical (regenerated) table gives the same answer, and a
 // schema change forces a clean re-bind.
-TEST_P(BatchVsScalarProperty, CachedPlansMatchFreshBinds) {
+TEST_P(PlanCacheProperty, CachedPlansMatchFreshBinds) {
   Rng rng(GetParam() ^ 0x5ea1ULL);
   db::PlanCache cache;
   for (int trial = 0; trial < 50; ++trial) {
@@ -497,8 +476,33 @@ TEST_P(BatchVsScalarProperty, CachedPlansMatchFreshBinds) {
   EXPECT_GT(cache.hits(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchVsScalarProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, PlanCacheProperty,
                          ::testing::Values(3, 31, 314, 3141, 31415));
+
+// The cache keys a plan by its query's ToString() fingerprint, so that text
+// must tell apart queries whose literals differ anywhere, also past a
+// double's 6th significant digit.
+TEST(PlanCacheTest, FingerprintKeepsEveryLiteralDigit) {
+  db::Table table(db::Schema({{"load", db::ColumnType::kDouble, false}}));
+  table.column(0).AppendDouble(1.00000015);
+  table.CommitRow();
+  auto narrow =
+      db::ParseSelect("SELECT COUNT(*) FROM t WHERE load < 1.0000001");
+  auto wide = db::ParseSelect("SELECT COUNT(*) FROM t WHERE load < 1.0000002");
+  ASSERT_TRUE(narrow.ok());
+  ASSERT_TRUE(wide.ok());
+  EXPECT_NE(narrow->ToString(), wide->ToString());
+
+  db::PlanCache cache;
+  auto first = cache.GetOrBind("k", table, *narrow);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ((*first)->Execute(table)->rows_matched, 0);
+  auto second = cache.GetOrBind("k", table, *wide);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ((*second)->Execute(table)->rows_matched, 1);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.binds(), 2u);
+}
 
 // --- Serialization fuzz: random bytes never crash, round trips are exact ---
 

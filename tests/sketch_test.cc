@@ -1,7 +1,8 @@
 // Tests for the mergeable-aggregate registry and the approximate sketch
 // functions (DISTINCT_APPROX / QUANTILE / TOPK): accuracy against exact
 // ground truth, lossless codecs, merge-order properties over random
-// partitions and random tree shapes, and batch-vs-scalar engine equality.
+// partitions and random tree shapes. The batch engine's sketch states are
+// checked against SQLite in sqlite_oracle_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -320,35 +321,7 @@ TEST(SketchCodecTest, AggStateCarriesSketchThroughWire) {
   EXPECT_EQ(exact_back->sketch, nullptr);
 }
 
-// --- Engine integration: batch vs scalar, grouped and ungrouped ---
-
-void ExpectEnginesAgree(const Table& t, const char* sql) {
-  auto q = ParseSelect(sql);
-  ASSERT_TRUE(q.ok()) << sql << ": " << q.status();
-  auto batch = ExecuteAggregate(t, *q);
-  auto scalar = ExecuteAggregateScalar(t, *q);
-  ASSERT_TRUE(batch.ok()) << sql << ": " << batch.status();
-  ASSERT_TRUE(scalar.ok()) << sql << ": " << scalar.status();
-  EXPECT_TRUE(*batch == *scalar) << sql;
-}
-
-TEST(SketchEngineTest, BatchMatchesScalarForSketchQueries) {
-  auto t = MakeTable(20000, 11, 5000);
-  ExpectEnginesAgree(*t, "SELECT DISTINCT_APPROX(port) FROM t");
-  ExpectEnginesAgree(*t, "SELECT DISTINCT_APPROX(app) FROM t");
-  ExpectEnginesAgree(*t, "SELECT QUANTILE(bytes, 0.9) FROM t");
-  ExpectEnginesAgree(*t, "SELECT TOPK(app, 3) FROM t");
-  ExpectEnginesAgree(*t, "SELECT TOPK(port, 5) FROM t WHERE bytes < 50000");
-  ExpectEnginesAgree(*t,
-                     "SELECT COUNT(*), DISTINCT_APPROX(port), "
-                     "QUANTILE(ratio, 0.5) FROM t WHERE port < 2500");
-  ExpectEnginesAgree(*t,
-                     "SELECT app, COUNT(*), DISTINCT_APPROX(port) "
-                     "FROM t GROUP BY app");
-  ExpectEnginesAgree(*t,
-                     "SELECT QUANTILE(bytes, 0.75), TOPK(app, 2) "
-                     "FROM t GROUP BY port");
-}
+// --- Engine integration ---
 
 TEST(SketchEngineTest, SketchAnswersTrackExactGroundTruth) {
   auto t = MakeTable(50000, 13, 30000);
