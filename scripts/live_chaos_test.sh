@@ -34,15 +34,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD="${1:-build}"
-DAEMON="$BUILD/tools/seaweedd"
-CLI="$BUILD/tools/seaweed-cli"
-for bin in "$DAEMON" "$CLI"; do
-  if [[ ! -x "$bin" ]]; then
-    echo "FAIL: required binary '$bin' is missing (build the '$BUILD' tree first)" >&2
-    exit 1
-  fi
-done
-
 N=12
 SHARDS=4
 SEED=7
@@ -51,48 +42,17 @@ QUERY_TIMEOUT_S="${SEAWEED_CHAOS_QUERY_TIMEOUT_S:-180}"
 SQL="SELECT App, COUNT(*), SUM(Bytes), MIN(Bytes), MAX(Bytes) FROM Flow GROUP BY App"
 # Oversized on the wire (~5.5k groups): exercises fragmentation under loss.
 BIG_SQL="SELECT SrcPort, COUNT(*), SUM(Bytes) FROM Flow GROUP BY SrcPort"
-
-ports_free() {
-  python3 - "$1" "$SHARDS" <<'EOF'
-import socket, sys
-base, shards = int(sys.argv[1]), int(sys.argv[2])
-socks = []
-try:
-    for s in range(shards):
-        u = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        u.bind(("127.0.0.1", base + s))
-        socks.append(u)
-        t = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        t.bind(("127.0.0.1", base + 100 + s))
-        socks.append(t)
-except OSError:
-    sys.exit(1)
-finally:
-    for s in socks:
-        s.close()
-EOF
-}
-
-if [[ -n "${SEAWEED_CHAOS_BASE_PORT:-}" ]]; then
-  BASE_PORT="$SEAWEED_CHAOS_BASE_PORT"
-  if ! ports_free "$BASE_PORT"; then
-    echo "FAIL: requested port range at $BASE_PORT is busy" >&2
-    exit 1
-  fi
-else
-  BASE_PORT=""
-  for cand in 19900 20160 20420 20680 20940; do
-    if ports_free "$cand"; then
-      BASE_PORT="$cand"
-      break
-    fi
-    echo "port range at $cand is busy; trying the next candidate" >&2
-  done
-  if [[ -z "$BASE_PORT" ]]; then
-    echo "FAIL: no free loopback port range found" >&2
-    exit 1
-  fi
-fi
+# Pins BIG_SQL's query id, and with it which endsystems send its oversized
+# results (endsystem e runs on shard e % SHARDS). With this salt the tree
+# root is endsystem 5 on shard 1, so every root delivery of the full result
+# to the origin (endsystem 0, shard 0) is fragmented on shard 1. Shard 1 is
+# never killed, so its dump at clean shutdown shows the fragmentation. An
+# unpinned id hashes the injection time, and its senders were often on
+# shards the harness kills, whose dumps die with them.
+BIG_SALT="chaos-big"
+source scripts/live_lib.sh
+live_pick_base_port "${SEAWEED_CHAOS_BASE_PORT:-}" \
+    19900 20160 20420 20680 20940
 
 WORK="$BUILD/live_chaos"
 rm -rf "$WORK"
@@ -114,24 +74,6 @@ EOF
 # availability-model timestamps are anchored to Now()==0 at that instant.
 EPOCH_US=$(( $(date +%s) * 1000000 ))
 
-# pid of shard $i lives in SHARD_PID[$i]; restarts replace the slot.
-SHARD_PID=()
-cleanup() {
-  local pid deadline
-  for pid in "${SHARD_PID[@]:-}"; do
-    kill "$pid" 2>/dev/null || true
-  done
-  deadline=$(( $(date +%s) + 5 ))
-  for pid in "${SHARD_PID[@]:-}"; do
-    while kill -0 "$pid" 2>/dev/null && [[ $(date +%s) -lt $deadline ]]; do
-      sleep 0.2
-    done
-    kill -9 "$pid" 2>/dev/null || true
-    wait "$pid" 2>/dev/null || true
-  done
-}
-trap cleanup EXIT INT TERM
-
 # Starts (or restarts) shard $1; extra flags pass through. The obs dump and
 # logs get a generation suffix so a restart never clobbers the first life's
 # files.
@@ -145,42 +87,18 @@ start_shard() {
       --profile fast --transport "faulty:$PLAN" \
       --obs-dump "$WORK/obs_shard${shard}_gen$GEN.jsonl" "$@" \
       > "$WORK/shard${shard}_gen$GEN.out" 2> "$WORK/shard${shard}_gen$GEN.err" &
-  SHARD_PID[$shard]=$!
+  LIVE_PIDS[$shard]=$!
 }
 
-# Blocks until all N endsystems are in the overlay (summed per-shard
-# `joined` gauges) or the budget expires.
 wait_joined() {
-  local deadline=$(( $(date +%s) + JOIN_TIMEOUT_S ))
-  local total line shard
-  while :; do
-    total=0
-    for (( shard = 0; shard < SHARDS; shard++ )); do
-      line=$("$CLI" --port $((BASE_PORT + 100 + shard)) stats 2>/dev/null) || line=""
-      if [[ -n "$line" ]]; then
-        total=$(( total + $(python3 -c \
-            'import json,sys; print(json.load(sys.stdin).get("joined", 0))' \
-            <<< "$line") ))
-      fi
-    done
-    if [[ "$total" -eq "$N" ]]; then
-      echo "all $N endsystems joined"
-      return 0
-    fi
-    if [[ $(date +%s) -ge $deadline ]]; then
-      echo "FAIL: only $total/$N endsystems joined within ${JOIN_TIMEOUT_S}s" >&2
-      tail -5 "$WORK"/shard*_gen*.err >&2 || true
-      exit 1
-    fi
-    sleep 0.5
-  done
+  live_wait_joined "$BASE_PORT" "$JOIN_TIMEOUT_S" "$WORK"/shard*_gen*.err
 }
 
 echo "--- reference: in-memory simulation, N=$N seed=$SEED ---"
 "$DAEMON" --reference --endsystems "$N" --seed "$SEED" --query "$SQL" \
     > "$WORK/reference.out"
 "$DAEMON" --reference --endsystems "$N" --seed "$SEED" --query "$BIG_SQL" \
-    > "$WORK/reference_big.out"
+    --salt "$BIG_SALT" > "$WORK/reference_big.out"
 cat "$WORK/reference.out"
 
 echo "--- bring-up: $SHARDS shards under faulty udp (base $BASE_PORT, plan $PLAN) ---"
@@ -207,7 +125,8 @@ echo "--- phase 2: SIGKILL shard mid-query, --rejoin restart, client drop ---"
 # query's origin shard; with origin on shard 0 any other shard works.
 VICTIM=2
 "$CLI" --port $((BASE_PORT + 100)) --timeout-s "$QUERY_TIMEOUT_S" \
-    query "$BIG_SQL" > "$WORK/phase2.out" 2> "$WORK/phase2.err" &
+    --salt "$BIG_SALT" query "$BIG_SQL" \
+    > "$WORK/phase2.out" 2> "$WORK/phase2.err" &
 QPID=$!
 
 # Kill the instant the query exists: exec_delay alone keeps it in flight.
@@ -221,13 +140,13 @@ if ! grep -q "query_id=" "$WORK/phase2.err"; then
   cat "$WORK/phase2.err" >&2 || true
   exit 1
 fi
-kill -9 "${SHARD_PID[$VICTIM]}" 2>/dev/null
-wait "${SHARD_PID[$VICTIM]}" 2>/dev/null || true
-echo "SIGKILLed shard $VICTIM (pid ${SHARD_PID[$VICTIM]}) mid-query"
+kill -9 "${LIVE_PIDS[$VICTIM]}" 2>/dev/null
+wait "${LIVE_PIDS[$VICTIM]}" 2>/dev/null || true
+echo "SIGKILLed shard $VICTIM (pid ${LIVE_PIDS[$VICTIM]}) mid-query"
 
 sleep 1
 start_shard "$VICTIM" --rejoin
-echo "restarted shard $VICTIM with --rejoin (pid ${SHARD_PID[$VICTIM]})"
+echo "restarted shard $VICTIM with --rejoin (pid ${LIVE_PIDS[$VICTIM]})"
 
 # While the cluster heals, also sever the streaming client's connection:
 # it must reconnect and resubscribe on its own.
@@ -264,8 +183,8 @@ for (( i = 0; i < 200; i++ )); do
   if ! kill -0 "$QPID" 2>/dev/null; then break; fi
   sleep 0.05
 done
-kill -9 "${SHARD_PID[0]}" 2>/dev/null
-wait "${SHARD_PID[0]}" 2>/dev/null || true
+kill -9 "${LIVE_PIDS[0]}" 2>/dev/null
+wait "${LIVE_PIDS[0]}" 2>/dev/null || true
 start_shard 0 --rejoin
 RC=0
 wait "$QPID" || RC=$?
@@ -278,13 +197,7 @@ echo "client distinguished a restarted daemon that lost its query (exit 4)"
 wait_joined
 
 echo "--- clean shutdown + counter audit ---"
-for (( shard = 0; shard < SHARDS; shard++ )); do
-  "$CLI" --port $((BASE_PORT + 100 + shard)) shutdown >/dev/null 2>&1 || true
-done
-for pid in "${SHARD_PID[@]}"; do
-  wait "$pid" 2>/dev/null || true
-done
-SHARD_PID=()
+live_stop_shards "$BASE_PORT"
 
 # Every surviving shard's dump must show injected faults; the restarted
 # lives must show net.rejoins; fragmentation must have happened somewhere.

@@ -43,64 +43,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD="${1:-build}"
-DAEMON="$BUILD/tools/seaweedd"
-CLI="$BUILD/tools/seaweed-cli"
-for bin in "$DAEMON" "$CLI"; do
-  if [[ ! -x "$bin" ]]; then
-    echo "FAIL: required binary '$bin' is missing (build the '$BUILD' tree first)" >&2
-    exit 1
-  fi
-done
-
 N=12
 SHARDS=3
 SEED=7
 JOIN_TIMEOUT_S="${SEAWEED_LOOPBACK_JOIN_TIMEOUT_S:-60}"
 QUERY_TIMEOUT_S="${SEAWEED_LOOPBACK_QUERY_TIMEOUT_S:-120}"
+source scripts/live_lib.sh
+live_pick_base_port "${SEAWEED_LOOPBACK_BASE_PORT:-}" \
+    19600 19860 20120 20380 20640
 
-# True when every UDP and TCP port this run needs, at base port $1, can be
-# bound right now (udp BASE.., control BASE+100..).
-ports_free() {
-  python3 - "$1" "$SHARDS" <<'EOF'
-import socket, sys
-base, shards = int(sys.argv[1]), int(sys.argv[2])
-socks = []
-try:
-    for s in range(shards):
-        u = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        u.bind(("127.0.0.1", base + s))
-        socks.append(u)
-        t = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        t.bind(("127.0.0.1", base + 100 + s))
-        socks.append(t)
-except OSError:
-    sys.exit(1)
-finally:
-    for s in socks:
-        s.close()
-EOF
-}
-
-if [[ -n "${SEAWEED_LOOPBACK_BASE_PORT:-}" ]]; then
-  BASE_PORT="$SEAWEED_LOOPBACK_BASE_PORT"
-  if ! ports_free "$BASE_PORT"; then
-    echo "FAIL: requested port range at $BASE_PORT is busy" >&2
-    exit 1
-  fi
-else
-  BASE_PORT=""
-  for cand in 19600 19860 20120 20380 20640; do
-    if ports_free "$cand"; then
-      BASE_PORT="$cand"
-      break
-    fi
-    echo "port range at $cand is busy; trying the next candidate" >&2
-  done
-  if [[ -z "$BASE_PORT" ]]; then
-    echo "FAIL: no free loopback port range found" >&2
-    exit 1
-  fi
-fi
 SQL="SELECT App, COUNT(*), SUM(Bytes), MIN(Bytes), MAX(Bytes) FROM Flow GROUP BY App"
 
 # Mixed point/range/GROUP BY, all integer-exact — the concurrent batch.
@@ -127,25 +78,6 @@ WORK="$BUILD/loopback"
 rm -rf "$WORK"
 mkdir -p "$WORK"
 
-PIDS=()
-cleanup() {
-  local pid deadline
-  for pid in "${PIDS[@]:-}"; do
-    kill "$pid" 2>/dev/null || true
-  done
-  # Grace period for clean exits, then make sure nothing lingers: an
-  # orphaned daemon would hold the port range against the next run.
-  deadline=$(( $(date +%s) + 5 ))
-  for pid in "${PIDS[@]:-}"; do
-    while kill -0 "$pid" 2>/dev/null && [[ $(date +%s) -lt $deadline ]]; do
-      sleep 0.2
-    done
-    kill -9 "$pid" 2>/dev/null || true
-    wait "$pid" 2>/dev/null || true
-  done
-}
-trap cleanup EXIT INT TERM
-
 echo "--- loopback reference: in-memory simulation, N=$N seed=$SEED ---"
 "$DAEMON" --reference --endsystems "$N" --seed "$SEED" --query "$SQL" \
     > "$WORK/reference.out"
@@ -157,7 +89,6 @@ done
 
 # Starts SHARDS daemons on $1 (udp base port; control ports $1+100..),
 # dumping obs JSONL with prefix $2, and blocks until every endsystem joins.
-# Populates PIDS.
 start_shards() {
   local base=$1 obs_prefix=$2
   # All shards must agree on the wall-clock epoch or their Transport::Now()
@@ -169,55 +100,9 @@ start_shards() {
         --base-port "$base" --seed "$SEED" --epoch-us "$epoch_us" \
         --profile fast --obs-dump "$WORK/${obs_prefix}$shard.jsonl" \
         > "$WORK/${obs_prefix}$shard.out" 2> "$WORK/${obs_prefix}$shard.err" &
-    PIDS+=($!)
+    LIVE_PIDS[$shard]=$!
   done
-
-  # Bring-up barrier: sum the per-shard `joined` gauges until every
-  # endsystem is in the overlay (or a daemon dies / the budget expires).
-  local deadline=$(( $(date +%s) + JOIN_TIMEOUT_S ))
-  local joined total line pid
-  while :; do
-    for pid in "${PIDS[@]}"; do
-      if ! kill -0 "$pid" 2>/dev/null; then
-        echo "FAIL: a seaweedd shard exited during bring-up" >&2
-        tail -5 "$WORK/${obs_prefix}"*.err >&2 || true
-        exit 1
-      fi
-    done
-    total=0
-    for (( shard = 0; shard < SHARDS; shard++ )); do
-      line=$("$CLI" --port $((base + 100 + shard)) stats 2>/dev/null) || line=""
-      if [[ -n "$line" ]]; then
-        total=$(( total + $(python3 -c \
-            'import json,sys; print(json.load(sys.stdin).get("joined", 0))' \
-            <<< "$line") ))
-      fi
-    done
-    joined=$total
-    if [[ "$joined" -eq "$N" ]]; then
-      echo "all $N endsystems joined"
-      break
-    fi
-    if [[ $(date +%s) -ge $deadline ]]; then
-      echo "FAIL: only $joined/$N endsystems joined within ${JOIN_TIMEOUT_S}s" >&2
-      tail -5 "$WORK/${obs_prefix}"*.err >&2 || true
-      exit 1
-    fi
-    sleep 0.5
-  done
-}
-
-# Clean shutdown of the cluster on udp base port $1 through the control
-# plane so --obs-dump files get written.
-stop_shards() {
-  local base=$1 shard pid
-  for (( shard = 0; shard < SHARDS; shard++ )); do
-    "$CLI" --port $((base + 100 + shard)) shutdown >/dev/null 2>&1 || true
-  done
-  for pid in "${PIDS[@]}"; do
-    wait "$pid" 2>/dev/null || true
-  done
-  PIDS=()
+  live_wait_joined "$base" "$JOIN_TIMEOUT_S" "$WORK/${obs_prefix}"*.err
 }
 
 # Submits every CONC_SQL query concurrently through shard 0 of the cluster
@@ -285,7 +170,7 @@ echo "aggregates byte-identical"
 
 echo "--- phase 2: ${#CONC_SQL[@]} concurrent queries through shard 0 ---"
 run_concurrent "$BASE_PORT" live
-stop_shards "$BASE_PORT"
+live_stop_shards "$BASE_PORT"
 
 for (( shard = 0; shard < SHARDS; shard++ )); do
   if [[ ! -s "$WORK/obs_shard$shard.jsonl" ]]; then

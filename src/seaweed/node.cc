@@ -126,6 +126,36 @@ void SeaweedNode::StartQueryTrace(ActiveQuery& aq, const char* kind) {
       tracer_->StartSpan("result_delivery", key, now, aq.root_span);
 }
 
+void SeaweedNode::DeliverResult(ActiveQuery& aq,
+                                const db::AggregateResult& result) {
+  const SimTime now = sim()->Now();
+  if (aq.result_span != obs::kNoSpan) {
+    tracer_->EndSpan(aq.result_span, now);
+    metrics_->result_latency_us->Record(
+        static_cast<uint64_t>(now - aq.query.injected_at));
+    aq.result_span = obs::kNoSpan;
+  }
+  if (aq.query.IsViewSnapshot() && aq.dissem_span != obs::kNoSpan) {
+    tracer_->EndSpan(aq.dissem_span, now);
+    aq.dissem_span = obs::kNoSpan;
+  }
+  if (aq.observer.on_result) aq.observer.on_result(aq.query.query_id, result);
+}
+
+void SeaweedNode::DeliverPredictor(ActiveQuery& aq,
+                                   const CompletenessPredictor& predictor) {
+  const SimTime now = sim()->Now();
+  if (aq.dissem_span != obs::kNoSpan) {
+    tracer_->EndSpan(aq.dissem_span, now);
+    metrics_->predictor_latency_us->Record(
+        static_cast<uint64_t>(now - aq.query.injected_at));
+    aq.dissem_span = obs::kNoSpan;
+  }
+  if (aq.observer.on_predictor) {
+    aq.observer.on_predictor(aq.query.query_id, predictor);
+  }
+}
+
 void SeaweedNode::SendSeaweed(const NodeHandle& to, const SeaweedMessagePtr& msg,
                               TrafficCategory category) {
   pastry_->SendApp(to, msg, category);
@@ -467,10 +497,7 @@ void SeaweedNode::PushMetadataTick(uint64_t generation) {
 // Query lifecycle
 // ---------------------------------------------------------------------------
 
-Result<NodeId> SeaweedNode::InjectQuery(const std::string& sql,
-                                        QueryObserver observer,
-                                        SimDuration ttl,
-                                        const std::string& id_salt) {
+Status SeaweedNode::CheckCanOriginate() {
   if (!pastry_->up()) {
     return Status::Unavailable("injecting endsystem is down");
   }
@@ -478,26 +505,44 @@ Result<NodeId> SeaweedNode::InjectQuery(const std::string& sql,
     metrics_->queries_shed->Add();
     return Status::Unavailable("load shed: admission limit reached");
   }
-  SEAWEED_ASSIGN_OR_RETURN(
-      Query query,
-      Query::Create(sql, sim()->Now(), pastry_->handle(), ttl, id_salt));
-  NodeId qid = query.query_id;
+  return Status::OK();
+}
+
+NodeId SeaweedNode::Originate(const Query& query, QueryObserver observer,
+                              const char* kind) {
+  const NodeId qid = query.query_id;
   EnsureQueryActive(query);
   auto& aq = active_[qid];
   aq.is_origin = true;
   aq.observer = std::move(observer);
-  StartQueryTrace(aq, "oneshot");
-
-  // Kick off dissemination: the tree root is the node closest to queryId.
-  auto msg = std::make_shared<SeaweedMessage>();
-  msg->kind = SeaweedMessage::Kind::kBroadcast;
-  msg->queries.push_back(query);
-  msg->query_id = qid;
-  msg->range = IdRange::Full(qid);
-  msg->parent = pastry_->handle();  // the origin; root reports back to us
+  StartQueryTrace(aq, kind);
+  // The tree root is the node closest to queryId; it reports back to us.
+  auto msg = MakeBroadcast(query, IdRange::Full(qid));
   RouteSeaweed(qid, msg, TrafficCategory::kDissemination);
   ChargeQueryTx(aq, msg->WireBytes());
   return qid;
+}
+
+SeaweedMessagePtr SeaweedNode::MakeBroadcast(const Query& query,
+                                             const IdRange& range) const {
+  auto msg = std::make_shared<SeaweedMessage>();
+  msg->kind = SeaweedMessage::Kind::kBroadcast;
+  msg->queries.push_back(query);
+  msg->query_id = query.query_id;
+  msg->range = range;
+  msg->parent = pastry_->handle();
+  return msg;
+}
+
+Result<NodeId> SeaweedNode::InjectQuery(const std::string& sql,
+                                        QueryObserver observer,
+                                        SimDuration ttl,
+                                        const std::string& id_salt) {
+  if (Status s = CheckCanOriginate(); !s.ok()) return s;
+  SEAWEED_ASSIGN_OR_RETURN(
+      Query query,
+      Query::Create(sql, sim()->Now(), pastry_->handle(), ttl, id_salt));
+  return Originate(query, std::move(observer), "oneshot");
 }
 
 Result<NodeId> SeaweedNode::InjectContinuousQuery(const std::string& sql,
@@ -507,33 +552,12 @@ Result<NodeId> SeaweedNode::InjectContinuousQuery(const std::string& sql,
   if (period <= 0) {
     return Status::InvalidArgument("continuous period must be positive");
   }
-  if (!pastry_->up()) {
-    return Status::Unavailable("injecting endsystem is down");
-  }
-  if (AtAdmissionLimit()) {
-    metrics_->queries_shed->Add();
-    return Status::Unavailable("load shed: admission limit reached");
-  }
+  if (Status s = CheckCanOriginate(); !s.ok()) return s;
   SEAWEED_ASSIGN_OR_RETURN(
       Query query, Query::Create(sql, sim()->Now(), pastry_->handle(), ttl));
   query.continuous = true;
   query.reexec_period = period;
-  NodeId qid = query.query_id;
-  EnsureQueryActive(query);
-  auto& aq = active_[qid];
-  aq.is_origin = true;
-  aq.observer = std::move(observer);
-  StartQueryTrace(aq, "continuous");
-
-  auto msg = std::make_shared<SeaweedMessage>();
-  msg->kind = SeaweedMessage::Kind::kBroadcast;
-  msg->queries.push_back(query);
-  msg->query_id = qid;
-  msg->range = IdRange::Full(qid);
-  msg->parent = pastry_->handle();
-  RouteSeaweed(qid, msg, TrafficCategory::kDissemination);
-  ChargeQueryTx(aq, msg->WireBytes());
-  return qid;
+  return Originate(query, std::move(observer), "continuous");
 }
 
 void SeaweedNode::CancelQuery(const NodeId& query_id) {
@@ -543,7 +567,6 @@ void SeaweedNode::CancelQuery(const NodeId& query_id) {
     tombstone_until = it->second.query.injected_at + it->second.query.ttl;
     active_.erase(it);
   }
-  persisted_leaf_vertex_.erase(query_id);
   plan_cache_.Erase(query_id.ToHex());
   cancelled_[query_id] = tombstone_until;
   // Seed the epidemic: notify all leafset members; each recipient forwards
@@ -558,13 +581,7 @@ void SeaweedNode::CancelQuery(const NodeId& query_id) {
 
 Result<NodeId> SeaweedNode::QueryViewSnapshot(const std::string& view_name,
                                               QueryObserver observer) {
-  if (!pastry_->up()) {
-    return Status::Unavailable("injecting endsystem is down");
-  }
-  if (AtAdmissionLimit()) {
-    metrics_->queries_shed->Add();
-    return Status::Unavailable("load shed: admission limit reached");
-  }
+  if (Status s = CheckCanOriginate(); !s.ok()) return s;
   const ReplicatedView* view = nullptr;
   for (const auto& v : config_.views) {
     if (v.name == view_name) view = &v;
@@ -579,22 +596,7 @@ Result<NodeId> SeaweedNode::QueryViewSnapshot(const std::string& view_name,
   // Distinct id space from the equivalent one-shot query.
   query.query_id = Sha1ToNodeId("view:" + view_name + "@" +
                                 std::to_string(sim()->Now()));
-  NodeId qid = query.query_id;
-  EnsureQueryActive(query);
-  auto& aq = active_[qid];
-  aq.is_origin = true;
-  aq.observer = std::move(observer);
-  StartQueryTrace(aq, "view_snapshot");
-
-  auto msg = std::make_shared<SeaweedMessage>();
-  msg->kind = SeaweedMessage::Kind::kBroadcast;
-  msg->queries.push_back(query);
-  msg->query_id = qid;
-  msg->range = IdRange::Full(qid);
-  msg->parent = pastry_->handle();
-  RouteSeaweed(qid, msg, TrafficCategory::kDissemination);
-  ChargeQueryTx(aq, msg->WireBytes());
-  return qid;
+  return Originate(query, std::move(observer), "view_snapshot");
 }
 
 void SeaweedNode::HandleQueryCancel(const SeaweedMessagePtr& msg) {
@@ -647,10 +649,9 @@ void SeaweedNode::ExecuteAndSubmit(const NodeId& query_id) {
                        << result.status().ToString();
     return;
   }
-  aq.leaf.result =
+  aq.leaf_result =
       std::make_shared<const db::AggregateResult>(std::move(result).value());
   aq.leaf.version = sim()->Now() > 0 ? static_cast<uint64_t>(sim()->Now()) : 1;
-  aq.leaf.acked = false;
   SubmitLeafResult(query_id);
 }
 
@@ -682,7 +683,6 @@ void SeaweedNode::SweepExpiredTick(uint64_t generation) {
                        ? false  // vertex-only entries swept via query copies
                        : q.ExpiredAt(now);
     if (expired) {
-      persisted_leaf_vertex_.erase(it->first);
       plan_cache_.Erase(it->first.ToHex());
       it = active_.erase(it);
     } else {
@@ -890,12 +890,7 @@ void SeaweedNode::DispatchChild(ActiveQuery& aq, RangeTask& task,
   ++child.tries;
   ++child.attempt;
   if (child.tries > 1) metrics_->dissem_reissues->Add();
-  auto msg = std::make_shared<SeaweedMessage>();
-  msg->kind = SeaweedMessage::Kind::kBroadcast;
-  msg->queries.push_back(aq.query);
-  msg->query_id = aq.query.query_id;
-  msg->range = child.range;
-  msg->parent = pastry_->handle();
+  auto msg = MakeBroadcast(aq.query, child.range);
   if (child.via_routing) {
     RouteSeaweed(child.range.Mid(), msg, TrafficCategory::kDissemination);
   } else {
@@ -1029,17 +1024,7 @@ void SeaweedNode::ReportTask(ActiveQuery& aq, RangeTask& task) {
   if (task.report_to_origin) {
     if (aq.query.IsViewSnapshot() && aq.is_origin && aq.observer.on_result) {
       // Origin is itself the tree root.
-      if (aq.result_span != obs::kNoSpan) {
-        tracer_->EndSpan(aq.result_span, sim()->Now());
-        metrics_->result_latency_us->Record(static_cast<uint64_t>(
-            sim()->Now() - aq.query.injected_at));
-        aq.result_span = obs::kNoSpan;
-      }
-      if (aq.dissem_span != obs::kNoSpan) {
-        tracer_->EndSpan(aq.dissem_span, sim()->Now());
-        aq.dissem_span = obs::kNoSpan;
-      }
-      aq.observer.on_result(aq.query.query_id, task.view_acc);
+      DeliverResult(aq, task.view_acc);
       return;
     }
     msg->kind = aq.query.IsViewSnapshot()
@@ -1108,45 +1093,23 @@ void SeaweedNode::SubmitLeafResult(const NodeId& query_id) {
   if (it == active_.end()) return;
   ActiveQuery& aq = it->second;
   if (aq.query.sql.empty() || aq.query.ExpiredAt(sim()->Now())) return;
-  if (aq.leaf.result == nullptr) return;  // not executed yet
+  if (aq.leaf_result == nullptr) return;  // not executed yet
 
-  NodeId vertex;
-  auto persisted = persisted_leaf_vertex_.find(query_id);
-  if (persisted != persisted_leaf_vertex_.end()) {
-    vertex = persisted->second;
-  } else {
-    vertex = LeafParentVertex(aq.query);
-    persisted_leaf_vertex_[query_id] = vertex;
-  }
-  aq.leaf.vertex_id = vertex;
-  aq.leaf.tries = 0;  // fresh submit round, fresh retry budget
-  if (aq.leaf.result->HasSketchStates()) metrics_->sketch_results->Add();
+  const NodeId vertex = LeafParentVertex(aq.query);
+  aq.leaf.sends = 0;  // fresh submit round, fresh retry budget
+  if (aq.leaf_result->HasSketchStates()) metrics_->sketch_results->Add();
   if (IsLikelyRootFor(vertex)) {
     // We are (or believe we are) the vertex primary: fold locally. If the
     // view is wrong, replication and re-propagation reconcile ownership once
     // views converge; the vertexId, and so the tree shape, is the same
     // either way.
     if (cancelled_.count(query_id) == 0) {
-      FoldLocal(aq, vertex, aq.vertices[vertex], id(), aq.leaf.version,
-                aq.leaf.result);
+      ApplyChild(aq, vertex, aq.vertices[vertex], id(), aq.leaf.version,
+                 aq.leaf_result);
     }
-    aq.leaf.acked = true;
+    aq.leaf.pending_version = 0;
   } else {
-    auto msg = std::make_shared<SeaweedMessage>();
-    msg->kind = SeaweedMessage::Kind::kResultSubmit;
-    msg->query_id = query_id;
-    msg->vertex_id = vertex;
-    msg->child_key = id();
-    msg->version = aq.leaf.version;
-    AttachResult(*msg, *aq.leaf.result);
-    RouteSeaweed(vertex, msg, TrafficCategory::kResult);
-    ChargeQueryTx(aq, msg->WireBytes());
-    uint64_t gen = generation_;
-    uint64_t version = aq.leaf.version;
-    sim()->After(config_.result_ack_timeout, [this, gen, query_id, version] {
-      if (gen != generation_) return;
-      RetryLeafSubmit(query_id, version);
-    });
+    SubmitToParent(aq, vertex, id(), aq.leaf, *aq.leaf_result);
   }
   // Periodic refresh keeps vertex replica groups populated across primary
   // churn for the lifetime of the query.
@@ -1166,42 +1129,70 @@ void SeaweedNode::SubmitLeafResult(const NodeId& query_id) {
       ExecuteAndSubmit(query_id);
       return;
     }
-    it2->second.leaf.acked = false;
     SubmitLeafResult(query_id);
   });
 }
 
-void SeaweedNode::RetryLeafSubmit(const NodeId& query_id, uint64_t version) {
-  auto it = active_.find(query_id);
-  if (it == active_.end()) return;
-  ActiveQuery& aq = it->second;
-  if (aq.leaf.acked || aq.leaf.version != version) return;
-  if (aq.query.ExpiredAt(sim()->Now())) return;
-  if (++aq.leaf.tries > config_.max_result_retries) {
-    // Stop burning bandwidth into a black hole (partition, dead replica
-    // group); the periodic refresh re-submits with a fresh budget.
-    metrics_->leaf_giveups->Add();
-    return;
-  }
-  metrics_->leaf_retries->Add();
-  // Re-route; the primary may have changed.
+void SeaweedNode::SubmitToParent(ActiveQuery& aq, const NodeId& parent,
+                                 const NodeId& child, SubmitState& submit,
+                                 const db::AggregateResult& result) {
+  const NodeId& query_id = aq.query.query_id;
   auto msg = std::make_shared<SeaweedMessage>();
   msg->kind = SeaweedMessage::Kind::kResultSubmit;
   msg->query_id = query_id;
-  msg->vertex_id = aq.leaf.vertex_id;
-  msg->child_key = id();
-  msg->version = aq.leaf.version;
-  AttachResult(*msg, *aq.leaf.result);
-  RouteSeaweed(aq.leaf.vertex_id, msg, TrafficCategory::kResult);
+  msg->vertex_id = parent;
+  msg->child_key = child;
+  msg->version = submit.version;
+  AttachResult(*msg, result);
+  submit.pending_version = submit.version;
+  ++submit.sends;
+  RouteSeaweed(parent, msg, TrafficCategory::kResult);
   ChargeQueryTx(aq, msg->WireBytes());
   uint64_t gen = generation_;
-  SimDuration timeout = RetryBackoff(config_.result_ack_timeout,
-                                     aq.leaf.tries + 1,
+  SimDuration timeout = RetryBackoff(config_.result_ack_timeout, submit.sends,
                                      config_.max_retry_backoff);
-  sim()->After(timeout, [this, gen, query_id, version] {
+  sim()->After(timeout, [this, gen, query_id, child, version = msg->version] {
     if (gen != generation_) return;
-    RetryLeafSubmit(query_id, version);
+    OnAckTimeout(query_id, child, version);
   });
+}
+
+SeaweedNode::SubmitState* SeaweedNode::FindSubmitState(ActiveQuery& aq,
+                                                       const NodeId& child) {
+  if (child == id()) return &aq.leaf;
+  auto vit = aq.vertices.find(child);
+  return vit == aq.vertices.end() ? nullptr : &vit->second.submit;
+}
+
+void SeaweedNode::OnAckTimeout(const NodeId& query_id, const NodeId& child,
+                               uint64_t version) {
+  auto it = active_.find(query_id);
+  if (it == active_.end()) return;
+  ActiveQuery& aq = it->second;
+  SubmitState* submit = FindSubmitState(aq, child);
+  if (submit == nullptr || submit->pending_version != version) {
+    return;  // acked or superseded
+  }
+  if (aq.query.ExpiredAt(sim()->Now())) return;
+  const bool leaf = child == id();
+  if (submit->sends > config_.max_result_retries) {
+    // Stop burning bandwidth into a black hole (partition, dead replica
+    // group); the periodic refresh or re-propagation starts a fresh round.
+    (leaf ? metrics_->leaf_giveups : metrics_->vertex_giveups)->Add();
+    submit->pending_version = 0;
+    submit->sends = 0;
+    return;
+  }
+  (leaf ? metrics_->leaf_retries : metrics_->vertex_retries)->Add();
+  if (leaf) {
+    // The same version and result, re-routed: the primary may have changed.
+    SubmitToParent(aq, LeafParentVertex(aq.query), id(), aq.leaf,
+                   *aq.leaf_result);
+  } else {
+    // Re-merged with a fresh version, so dedup at the parent keeps the
+    // retries exactly-once.
+    PropagateVertex(aq, child, aq.vertices.find(child)->second);
+  }
 }
 
 void SeaweedNode::AttachResult(SeaweedMessage& msg,
@@ -1247,25 +1238,9 @@ void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
     }
   }
   if (cancelled_.count(msg->query_id)) return;
-  auto it = active_.find(msg->query_id);
-  if (it == active_.end()) {
-    // Vertex-only participation: we may not have seen the query broadcast.
-    ActiveQuery aq;
-    aq.query.query_id = msg->query_id;
-    aq.query.injected_at = sim()->Now();
-    it = active_.emplace(msg->query_id, std::move(aq)).first;
-  }
-  ActiveQuery& aq = it->second;
-  VertexState& state = aq.vertices[vertex];
-  ChildEntry* entry = AdvanceChild(state.children, msg->child_key,
-                                   msg->version, aq.vertex_vector_bytes);
-  if (entry != nullptr) {
-    entry->result = std::make_shared<const db::AggregateResult>(msg->result);
-    metrics_->vertex_updates->Add();
-  } else {
-    metrics_->duplicates_suppressed->Add();
-  }
-  // Ack the submitter (exactly-once hinges on ack-after-replicate).
+  ActiveQuery& aq = AdoptQuery(msg->query_id);
+  // Ack the submitter, a duplicate too. The ack leaves in the same event as
+  // a new entry's replication, so ack-after-replicate holds.
   if (from.id != id()) {
     auto ack = std::make_shared<SeaweedMessage>();
     ack->kind = SeaweedMessage::Kind::kResultAck;
@@ -1275,12 +1250,22 @@ void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
     ack->version = msg->version;
     SendSeaweed(from, ack, TrafficCategory::kResult);
   }
-  if (entry != nullptr) OnVertexUpdated(aq, vertex, state, *entry);
+  ApplyChild(aq, vertex, aq.vertices[vertex], msg->child_key, msg->version,
+             std::make_shared<const db::AggregateResult>(msg->result));
 }
 
-void SeaweedNode::FoldLocal(ActiveQuery& aq, const NodeId& vertex_id,
-                            VertexState& state, const NodeId& child,
-                            uint64_t version, ResultPtr result) {
+SeaweedNode::ActiveQuery& SeaweedNode::AdoptQuery(const NodeId& query_id) {
+  auto [it, adopted] = active_.try_emplace(query_id);
+  if (adopted) {
+    it->second.query.query_id = query_id;
+    it->second.query.injected_at = sim()->Now();
+  }
+  return it->second;
+}
+
+void SeaweedNode::ApplyChild(ActiveQuery& aq, const NodeId& vertex_id,
+                             VertexState& state, const NodeId& child,
+                             uint64_t version, ResultPtr result) {
   ChildEntry* entry =
       AdvanceChild(state.children, child, version, aq.vertex_vector_bytes);
   if (entry == nullptr) {
@@ -1508,13 +1493,7 @@ void SeaweedNode::PropagateVertex(ActiveQuery& aq, const NodeId& vertex_id,
   if (root) {
     // Root vertex: deliver the incremental result to the query origin.
     if (aq.is_origin && aq.observer.on_result) {
-      if (aq.result_span != obs::kNoSpan) {
-        tracer_->EndSpan(aq.result_span, sim()->Now());
-        metrics_->result_latency_us->Record(static_cast<uint64_t>(
-            sim()->Now() - aq.query.injected_at));
-        aq.result_span = obs::kNoSpan;
-      }
-      aq.observer.on_result(query_id, *merged);
+      DeliverResult(aq, *merged);
       return;
     }
     if (aq.query.origin.id != NodeId()) {
@@ -1539,57 +1518,20 @@ void SeaweedNode::PropagateVertex(ActiveQuery& aq, const NodeId& vertex_id,
     const ChildEntry* entry = pit == aq.vertices.end()
                                   ? nullptr
                                   : FindChild(pit->second.children, vertex_id);
+    SubmitState& submit = state.submit;
     if (entry != nullptr) {
-      state.version = std::max(state.version, entry->version);
+      submit.version = std::max(submit.version, entry->version);
     }
-    const uint64_t version = ++state.version;
-    state.pending_version = 0;
-    state.submit_tries = 0;
+    const uint64_t version = ++submit.version;
+    submit.pending_version = 0;
+    submit.sends = 0;
     if (cancelled_.count(query_id)) return;
     if (pit == aq.vertices.end()) pit = aq.vertices.try_emplace(parent).first;
-    FoldLocal(aq, parent, pit->second, vertex_id, version, std::move(merged));
+    ApplyChild(aq, parent, pit->second, vertex_id, version, std::move(merged));
     return;
   }
-  // Track the submit until the parent acks it; retries re-propagate with a
-  // fresh version, so dedup at the parent keeps them exactly-once.
-  auto msg = std::make_shared<SeaweedMessage>();
-  msg->kind = SeaweedMessage::Kind::kResultSubmit;
-  msg->query_id = query_id;
-  msg->vertex_id = parent;
-  msg->child_key = vertex_id;
-  msg->version = ++state.version;
-  AttachResult(*msg, *merged);
-  ++state.submit_tries;
-  state.pending_version = msg->version;
-  RouteSeaweed(parent, msg, TrafficCategory::kResult);
-  ChargeQueryTx(aq, msg->WireBytes());
-  ArmVertexAckTimeout(query_id, vertex_id, msg->version, state.submit_tries);
-}
-
-void SeaweedNode::ArmVertexAckTimeout(const NodeId& query_id,
-                                      const NodeId& vertex_id,
-                                      uint64_t version, int tries) {
-  uint64_t gen = generation_;
-  SimDuration timeout = RetryBackoff(config_.result_ack_timeout, tries,
-                                     config_.max_retry_backoff);
-  sim()->After(timeout, [this, gen, query_id, vertex_id, version] {
-    if (gen != generation_) return;
-    auto it = active_.find(query_id);
-    if (it == active_.end()) return;
-    auto vit = it->second.vertices.find(vertex_id);
-    if (vit == it->second.vertices.end()) return;
-    VertexState& state = vit->second;
-    if (state.pending_version != version) return;  // acked or superseded
-    if (it->second.query.ExpiredAt(sim()->Now())) return;
-    if (state.submit_tries > config_.max_result_retries) {
-      metrics_->vertex_giveups->Add();
-      state.pending_version = 0;
-      state.submit_tries = 0;  // fresh budget for the periodic repropagation
-      return;
-    }
-    metrics_->vertex_retries->Add();
-    PropagateVertex(it->second, vertex_id, state);  // bumps version, re-arms
-  });
+  ++state.submit.version;
+  SubmitToParent(aq, parent, vertex_id, state.submit, *merged);
 }
 
 SeaweedNode::VertexFootprint SeaweedNode::vertex_footprint() const {
@@ -1644,16 +1586,7 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
     case SeaweedMessage::Kind::kPredictorDeliver: {
       auto it = active_.find(msg->query_id);
       if (it != active_.end() && it->second.is_origin) {
-        ActiveQuery& origin_aq = it->second;
-        if (origin_aq.dissem_span != obs::kNoSpan) {
-          tracer_->EndSpan(origin_aq.dissem_span, sim()->Now());
-          metrics_->predictor_latency_us->Record(static_cast<uint64_t>(
-              sim()->Now() - origin_aq.query.injected_at));
-          origin_aq.dissem_span = obs::kNoSpan;
-        }
-        if (origin_aq.observer.on_predictor) {
-          origin_aq.observer.on_predictor(msg->query_id, msg->predictor);
-        }
+        DeliverPredictor(it->second, msg->predictor);
       }
       break;
     }
@@ -1663,29 +1596,16 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
     case SeaweedMessage::Kind::kResultAck: {
       auto it = active_.find(msg->query_id);
       if (it == active_.end()) break;
-      if (msg->child_key == id()) {
-        if (it->second.leaf.version == msg->version) {
-          it->second.leaf.acked = true;
-          it->second.leaf.tries = 0;
-        }
-      } else if (auto vit = it->second.vertices.find(msg->child_key);
-                 vit != it->second.vertices.end() &&
-                 vit->second.pending_version == msg->version) {
-        // Interior submit acked: stop the retry chain.
-        vit->second.pending_version = 0;
-        vit->second.submit_tries = 0;
+      // Acked: the send's ack timer stops, and the next round starts fresh.
+      SubmitState* submit = FindSubmitState(it->second, msg->child_key);
+      if (submit != nullptr && submit->pending_version == msg->version) {
+        submit->pending_version = 0;
+        submit->sends = 0;
       }
       break;
     }
     case SeaweedMessage::Kind::kVertexReplicate: {
-      auto it = active_.find(msg->query_id);
-      if (it == active_.end()) {
-        ActiveQuery aq;
-        aq.query.query_id = msg->query_id;
-        aq.query.injected_at = sim()->Now();
-        it = active_.emplace(msg->query_id, std::move(aq)).first;
-      }
-      ActiveQuery& aq = it->second;
+      ActiveQuery& aq = AdoptQuery(msg->query_id);
       for (const auto& replica : msg->replicas) {
         auto& children = aq.vertices[replica.vertex_id].children;
         for (const auto& e : replica.entries) {
@@ -1700,16 +1620,7 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
     case SeaweedMessage::Kind::kResultDeliver: {
       auto it = active_.find(msg->query_id);
       if (it != active_.end() && it->second.is_origin) {
-        ActiveQuery& origin_aq = it->second;
-        if (origin_aq.result_span != obs::kNoSpan) {
-          tracer_->EndSpan(origin_aq.result_span, sim()->Now());
-          metrics_->result_latency_us->Record(static_cast<uint64_t>(
-              sim()->Now() - origin_aq.query.injected_at));
-          origin_aq.result_span = obs::kNoSpan;
-        }
-        if (origin_aq.observer.on_result) {
-          origin_aq.observer.on_result(msg->query_id, msg->result);
-        }
+        DeliverResult(it->second, msg->result);
       }
       break;
     }

@@ -248,6 +248,15 @@ class SeaweedNode : public overlay::PastryApp {
   // kVertexReplicate carries, so a full sync copies the vector.
   using ChildEntry = SeaweedMessage::ReplicaEntry;
 
+  // A child's submits to its parent vertex, leaf or vertex alike: its latest
+  // version, the version sent and not yet acked (0 = none), and the sends
+  // the current round has made.
+  struct SubmitState {
+    uint64_t version = 0;
+    uint64_t pending_version = 0;
+    int sends = 0;
+  };
+
   struct VertexState {
     // Sorted by child key: the merge order and the full-sync order. A
     // vertex's children differ from each other in one digit, so fan-in is
@@ -257,24 +266,12 @@ class SeaweedNode : public overlay::PastryApp {
     // sync before deltas (a delta-only backup would reconstruct a partial
     // subtree after primary failover).
     std::vector<NodeId> synced_backups;
-    uint64_t version = 0;         // our version as a child of our parent
-    // Upward-submit ack tracking: the version sent to our parent and not
-    // yet acked (0 = nothing outstanding), and how many timeouts in a row
-    // have fired for it.
-    uint64_t pending_version = 0;
-    int submit_tries = 0;
+    // Our submits to our parent. The flags below fill its tail padding.
+    [[no_unique_address]] SubmitState submit;
     bool dirty = false;           // queued for the query's next fold pass
     bool repropagate_scheduled = false;
   };
   using VertexTable = std::unordered_map<NodeId, VertexState, NodeIdHash>;
-
-  struct PendingSubmit {
-    NodeId vertex_id;
-    uint64_t version = 0;
-    ResultPtr result;
-    bool acked = false;
-    int tries = 0;
-  };
 
   // One kVertexReplicate being collected for a backup during a fold pass;
   // `index` maps a vertex to its slot in msg->replicas.
@@ -309,7 +306,9 @@ class SeaweedNode : public overlay::PastryApp {
     bool fold_scheduled = false;
     bool folding = false;
     std::vector<PendingReplicate> replicates;
-    PendingSubmit leaf;           // our own contribution
+    // Our own contribution as a leaf, and its submits to our leaf vertex.
+    ResultPtr leaf_result;
+    SubmitState leaf;
     bool executed = false;
     // Origin-side state (only on the injecting endsystem).
     bool is_origin = false;
@@ -360,28 +359,57 @@ class SeaweedNode : public overlay::PastryApp {
   void ArmChildRedissemination(const NodeId& query_id,
                                const std::string& task_token,
                                const std::string& child_token);
-  void CheckTaskTimeout(const NodeId& query_id, const std::string& token);
   void FinishTaskIfDone(ActiveQuery& aq, RangeTask& task);
   void ReportTask(ActiveQuery& aq, RangeTask& task);
   void HandlePredictorReport(const SeaweedMessagePtr& msg);
 
+  // --- Origination ---
+  // This endsystem is up and admission control admits one more query.
+  Status CheckCanOriginate();
+  // Makes this node `query`'s origin and routes its full-range broadcast
+  // toward the tree root.
+  NodeId Originate(const Query& query, QueryObserver observer,
+                   const char* kind);
+  // Asks the receiver to cover `range` of `query` and report back to us.
+  SeaweedMessagePtr MakeBroadcast(const Query& query,
+                                  const IdRange& range) const;
+  // Origin-side delivery: ends the span the arrival closes, records its
+  // latency and runs the observer, which may erase `aq`. A view snapshot
+  // has no predictor phase, so its result also ends dissemination.
+  void DeliverResult(ActiveQuery& aq, const db::AggregateResult& result);
+  void DeliverPredictor(ActiveQuery& aq,
+                        const CompletenessPredictor& predictor);
+
   // --- Result plane ---
   void EnsureQueryActive(const Query& query);
+  // The query's entry, adopted vertex-only when we never saw its broadcast.
+  ActiveQuery& AdoptQuery(const NodeId& query_id);
   void ScheduleLocalExecution(const NodeId& query_id);
   void ExecuteAndSubmit(const NodeId& query_id);
   NodeId LeafParentVertex(const Query& query) const;
   bool IsLikelyRootFor(const NodeId& key) const;
   void SubmitLeafResult(const NodeId& query_id);
-  void RetryLeafSubmit(const NodeId& query_id, uint64_t version);
+  // Sends `child`'s result at `submit.version` to vertex `parent`; the k-th
+  // send of a round waits RetryBackoff(result_ack_timeout, k) for its ack.
+  void SubmitToParent(ActiveQuery& aq, const NodeId& parent,
+                      const NodeId& child, SubmitState& submit,
+                      const db::AggregateResult& result);
+  // Our leaf's submit state when `child` is our id, else vertex `child`'s.
+  SubmitState* FindSubmitState(ActiveQuery& aq, const NodeId& child);
+  // Unless the send was acked or superseded: gives up after
+  // max_result_retries + 1 sends, else the leaf resends its version and a
+  // vertex re-propagates with a fresh one.
+  void OnAckTimeout(const NodeId& query_id, const NodeId& child,
+                    uint64_t version);
   // Applies a child's submission that arrived in a message, handing it to
   // a closer node when this one does not own the vertex.
   void HandleResultSubmit(const overlay::NodeHandle& from,
                           const SeaweedMessagePtr& msg);
-  // Applies a submit this node makes to a vertex it owns, without a
-  // message: its own leaf result, or a fold into a local parent.
-  void FoldLocal(ActiveQuery& aq, const NodeId& vertex_id,
-                 VertexState& state, const NodeId& child, uint64_t version,
-                 ResultPtr result);
+  // Stores `child`'s result in a vertex we own if `version` is newer than
+  // the held one (then OnVertexUpdated), else counts a duplicate.
+  void ApplyChild(ActiveQuery& aq, const NodeId& vertex_id,
+                  VertexState& state, const NodeId& child, uint64_t version,
+                  ResultPtr result);
   // After a child entry changed: replicates it, queues the vertex for the
   // fold pass and schedules its periodic re-propagation.
   void OnVertexUpdated(ActiveQuery& aq, const NodeId& vertex_id,
@@ -399,11 +427,6 @@ class SeaweedNode : public overlay::PastryApp {
   // which can erase `aq`.
   void PropagateVertex(ActiveQuery& aq, const NodeId& vertex_id,
                        VertexState& state);
-  // Arms the ack timeout for an interior submit of `version`; on expiry the
-  // vertex re-propagates (with a fresh version) up to max_result_retries
-  // times with exponential backoff.
-  void ArmVertexAckTimeout(const NodeId& query_id, const NodeId& vertex_id,
-                           uint64_t version, int tries);
   // Periodic upward re-propagation: repairs aggregates lost to vertex
   // primary failover anywhere above us within one refresh period. Inside a
   // fold pass or re-propagation round the vertex joins the open batch;
@@ -458,10 +481,6 @@ class SeaweedNode : public overlay::PastryApp {
   AvailabilityModel own_model_;
   SimTime went_down_at_ = -1;
   uint64_t metadata_version_ = 0;
-  // §3.4: the leaf "persists that vertexId with the query". Recomputing the
-  // entry vertex after churn could inject our contribution at two depths of
-  // the same chain and double-count it, so the first choice is sticky.
-  std::map<NodeId, NodeId> persisted_leaf_vertex_;
 
   // Volatile (lost on failure, rebuilt on rejoin).
   MetadataStore metadata_;

@@ -94,6 +94,46 @@ TEST(ViewSnapshotTest, CoversDownEndsystemsFromReplicas) {
   EXPECT_GE(snapshot.endsystems, n - 1);
 }
 
+TEST(ViewSnapshotTest, RemoteRootDeliveryClosesTheDisseminateSpan) {
+  // A snapshot has no predictor phase: its answer ends dissemination too.
+  // When the tree root is another node, the answer arrives as a
+  // kResultDeliver, and that path must close the origin's `disseminate`
+  // span just as the root-is-origin shortcut does.
+  const int n = 30;
+  SeaweedCluster cluster(Cfg(n), MakeData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(10 * kMinute);
+
+  bool got = false;
+  QueryObserver obs;
+  obs.on_result = [&](const NodeId&, const db::AggregateResult&) {
+    got = true;
+  };
+  auto qid = cluster.seaweed_node(0)->QueryViewSnapshot("total_stock",
+                                                        std::move(obs));
+  ASSERT_TRUE(qid.ok()) << qid.status();
+  int root = 0;
+  for (int e = 1; e < n; ++e) {
+    if (cluster.pastry_node(e)->id().RingDistanceTo(*qid) <
+        cluster.pastry_node(root)->id().RingDistanceTo(*qid)) {
+      root = e;
+    }
+  }
+  ASSERT_NE(root, 0) << "the origin is the tree root; pick another time";
+  cluster.sim().RunUntil(cluster.sim().Now() + kMinute);
+  ASSERT_TRUE(got);
+
+  const obs::SpanRecord* dissem = nullptr;
+  cluster.obs().trace.ForEach([&](const obs::SpanRecord& span) {
+    if (span.trace == obs::TraceKey(*qid) &&
+        std::string(span.name) == "disseminate") {
+      dissem = cluster.obs().trace.Find(span.id);
+    }
+  });
+  ASSERT_NE(dissem, nullptr);
+  EXPECT_NE(dissem->end, obs::kOpenSpan);
+}
+
 TEST(ViewSnapshotTest, UnknownViewRejected) {
   const int n = 6;
   SeaweedCluster cluster(Cfg(n), MakeData(n));
