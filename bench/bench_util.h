@@ -120,9 +120,8 @@ inline void PercentileTable(const std::vector<double>& samples,
 
 // Collects named scalars and tables from one bench run and writes them to a
 // machine-readable file, replacing the per-figure emitters the benches used
-// to hand-roll. The output path comes from SEAWEED_BENCH_OUT; a ".csv"
-// suffix selects CSV (long format), anything else JSON. Env var unset = no
-// file written, the bench only prints its usual tables.
+// to hand-roll. The JSON goes to the path in SEAWEED_BENCH_OUT; env var
+// unset = no file written, the bench only prints its usual tables.
 class ResultWriter {
  public:
   explicit ResultWriter(std::string bench) : bench_(std::move(bench)) {}
@@ -170,43 +169,17 @@ class ResultWriter {
     return WriteAll(path, out);
   }
 
-  // Long format: one value per line, so any spreadsheet/plotting tool can
-  // pivot it without knowing the per-figure schema.
-  Status WriteCsv(const std::string& path) const {
-    std::string out = "bench,table,row,column,value\n";
-    for (const auto& [name, value] : scalars_) {
-      out += bench_ + ",scalars,0," + name + ',';
-      Num(&out, value);
-      out += '\n';
-    }
-    for (const auto& table : tables_) {
-      for (size_t r = 0; r < table.rows.size(); ++r) {
-        for (size_t c = 0; c < table.rows[r].size(); ++c) {
-          out += bench_ + ',' + table.name + ',' + std::to_string(r) + ',' +
-                 (c < table.columns.size() ? table.columns[c]
-                                           : std::to_string(c)) +
-                 ',';
-          Num(&out, table.rows[r][c]);
-          out += '\n';
-        }
-      }
-    }
-    return WriteAll(path, out);
-  }
-
   // Writes to $SEAWEED_BENCH_OUT if set; failures warn but never abort the
   // bench (the printed tables are the primary output).
   void WriteFromEnv() const {
     const char* path = std::getenv("SEAWEED_BENCH_OUT");
     if (path == nullptr || *path == '\0') return;
-    std::string p(path);
-    bool csv = p.size() >= 4 && p.compare(p.size() - 4, 4, ".csv") == 0;
-    Status st = csv ? WriteCsv(p) : WriteJson(p);
+    Status st = WriteJson(path);
     if (!st.ok()) {
       std::fprintf(stderr, "warning: bench result write failed: %s\n",
                    std::string(st.message()).c_str());
     } else {
-      std::printf("# machine-readable results written to %s\n", p.c_str());
+      std::printf("# machine-readable results written to %s\n", path);
     }
   }
 

@@ -305,7 +305,6 @@ SeaweedMessagePtr CodecBenchMessage(SeaweedMessage::Kind kind) {
       break;
     }
     case SeaweedMessage::Kind::kPredictorReport:
-    case SeaweedMessage::Kind::kPredictorDeliver:
       for (int i = 0; i < 40; ++i) {
         msg->predictor.AddRowsAt(i * kHour, 25.0);
       }
@@ -353,7 +352,6 @@ void RegisterEncodeDecodeBenches() {
       {SeaweedMessage::Kind::kMetadataPush, "MetadataPush"},
       {SeaweedMessage::Kind::kBroadcast, "Broadcast"},
       {SeaweedMessage::Kind::kPredictorReport, "PredictorReport"},
-      {SeaweedMessage::Kind::kPredictorDeliver, "PredictorDeliver"},
       {SeaweedMessage::Kind::kResultSubmit, "ResultSubmit"},
       {SeaweedMessage::Kind::kResultAck, "ResultAck"},
       {SeaweedMessage::Kind::kVertexReplicate, "VertexReplicate"},

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Full pre-merge check: builds the default configuration and the
 # ASan+UBSan configuration, runs the complete test suite under both, and
-# runs the differentials under both: serializing-transport and chaos
-# replay. Each differential also requires that its runs re-propagated
-# vertices (seaweed.vertex_repropagations > 0 in their obs dumps).
+# runs the differentials under both: serializing-transport and two chaos
+# replays. Each differential also requires that its runs exercised what it
+# is about: re-propagated vertices (seaweed.vertex_repropagations > 0 in
+# their obs dumps) and, under the heavier chaos plan, leaf and vertex
+# give-ups (seaweed.leaf_giveups, seaweed.vertex_giveups).
 #
 # Usage: scripts/check.sh [extra ctest args...]
 #
@@ -68,38 +70,55 @@ differential() {
   require_counter "$build/sim_ser.jsonl" seaweed.vertex_repropagations
 }
 
-# Runs the same chaos simulation twice through the full decorator stack
-# (wire codec + fault injection from a JSON plan) and asserts bit-identical
-# stdout: the deterministic-replay guarantee, end to end through simctl.
-chaos_replay() {
-  local build="$1"
-  local simbin="$build/examples/simctl"
-  require_binary "$simbin"
-  local plan="$build/chaos_plan.json"
-  cat > "$plan" <<'EOF'
-{
+# Two fault plans for chaos_replay. CHAOS_PLAN mixes a 20% loss burst,
+# delays, a partition and a crash, and makes the result plane retry.
+# GIVEUP_PLAN holds 70% loss from before the query's injection (1,800 s)
+# to 3,600 s, longer than a submit's whole retry chain (~12.5 min), so
+# leaves and vertices give up, and the dissemination refresh re-teaches
+# subtrees the burst cut off.
+CHAOS_PLAN='{
   "seed": 99,
   "bursts": [{"start_s": 1200, "end_s": 2400, "loss": 0.2}],
   "delays": [{"start_s": 1500, "end_s": 2100, "extra_s": 0.2, "jitter_s": 0.3}],
   "partitions": [{"start_s": 1600, "end_s": 2300, "fraction": 0.3}],
   "crashes": [{"endsystem": 5, "down_s": 3000, "up_s": 3600}]
-}
-EOF
+}'
+GIVEUP_PLAN='{
+  "seed": 99,
+  "bursts": [{"start_s": 1700, "end_s": 3600, "loss": 0.7}],
+  "crashes": [{"endsystem": 5, "down_s": 3000, "up_s": 3600}]
+}'
+
+# Runs the same chaos simulation twice through the full decorator stack
+# (wire codec + fault injection from the JSON plan $3, named $2) and asserts
+# bit-identical stdout: the deterministic-replay guarantee, end to end
+# through simctl. Every counter named after the plan must be > 0 in both
+# runs' dumps.
+chaos_replay() {
+  local build="$1" name="$2" plan_json="$3"
+  shift 3
+  local simbin="$build/examples/simctl"
+  require_binary "$simbin"
+  local plan="$build/${name}_plan.json"
+  printf '%s\n' "$plan_json" > "$plan"
   local flags=(--endsystems 60 --hours 2 --seed 7
                --transport "serializing,faulty:$plan"
                --query "SELECT COUNT(*), SUM(Bytes) FROM Flow")
-  echo "--- chaos replay determinism ($build) ---"
-  "$simbin" "${flags[@]}" --obs-dump "$build/sim_chaos_a.jsonl" \
-      > "$build/sim_chaos_a.out"
-  "$simbin" "${flags[@]}" --obs-dump "$build/sim_chaos_b.jsonl" \
-      > "$build/sim_chaos_b.out"
-  if ! diff -u "$build/sim_chaos_a.out" "$build/sim_chaos_b.out"; then
-    echo "FAIL: chaos run is not seed-deterministic" >&2
+  echo "--- $name replay determinism ($build) ---"
+  "$simbin" "${flags[@]}" --obs-dump "$build/sim_${name}_a.jsonl" \
+      > "$build/sim_${name}_a.out"
+  "$simbin" "${flags[@]}" --obs-dump "$build/sim_${name}_b.jsonl" \
+      > "$build/sim_${name}_b.out"
+  if ! diff -u "$build/sim_${name}_a.out" "$build/sim_${name}_b.out"; then
+    echo "FAIL: $name run is not seed-deterministic" >&2
     exit 1
   fi
   echo "replays bit-identical"
-  require_counter "$build/sim_chaos_a.jsonl" seaweed.vertex_repropagations
-  require_counter "$build/sim_chaos_b.jsonl" seaweed.vertex_repropagations
+  local counter
+  for counter in "$@"; do
+    require_counter "$build/sim_${name}_a.jsonl" "$counter"
+    require_counter "$build/sim_${name}_b.jsonl" "$counter"
+  done
 }
 
 # Sketch smoke: the documented accuracy floors (HLL relative error <= 2%
@@ -214,7 +233,9 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)" "$@"
 differential build
-chaos_replay build
+chaos_replay build chaos "$CHAOS_PLAN" seaweed.vertex_repropagations
+chaos_replay build giveup "$GIVEUP_PLAN" seaweed.leaf_giveups \
+    seaweed.vertex_giveups
 sketch_smoke build
 loopback_smoke build 19600
 if [[ "${SEAWEED_SCALE_SMOKE:-0}" == "1" ]]; then
@@ -233,7 +254,9 @@ cmake -B build-asan -S . -DSEAWEED_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$(nproc)"
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" "$@"
 differential build-asan
-chaos_replay build-asan
+chaos_replay build-asan chaos "$CHAOS_PLAN" seaweed.vertex_repropagations
+chaos_replay build-asan giveup "$GIVEUP_PLAN" seaweed.leaf_giveups \
+    seaweed.vertex_giveups
 sketch_smoke build-asan
 loopback_smoke build-asan 19620
 if [[ "${SEAWEED_LOAD_SMOKE:-0}" == "1" ]]; then

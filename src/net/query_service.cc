@@ -12,6 +12,7 @@
 
 #include "common/logging.h"
 #include "db/sql_parser.h"
+#include "obs/export.h"
 #include "obs/jsonl_reader.h"
 
 namespace seaweed::net {
@@ -39,29 +40,6 @@ std::string RespHead() {
 }
 
 }  // namespace
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 QueryService::QueryService(LiveCluster* cluster, uint16_t port)
     : cluster_(cluster), loop_(&cluster->loop()) {
@@ -194,9 +172,9 @@ void QueryService::FlushConn(Conn& conn) {
 
 void QueryService::ReplyError(Conn& conn, const std::string& error) {
   bad_requests_->Add();
-  SendLine(conn,
-           RespHead() + "\"ok\":false,\"error\":\"" + JsonEscape(error) +
-               "\"}");
+  std::string line = RespHead() + "\"ok\":false,\"error\":\"";
+  obs::AppendJsonEscaped(&line, error);
+  SendLine(conn, line + "\"}");
 }
 
 void QueryService::HandleLine(Conn& conn, const std::string& line) {
@@ -355,8 +333,10 @@ void QueryService::HandleSubmit(Conn& conn, const std::string& sql,
     if (id.status().code() == StatusCode::kUnavailable &&
         id.status().message().rfind("load shed", 0) == 0) {
       queries_shed_->Add();
-      SendLine(conn, RespHead() + "\"ok\":false,\"shed\":true,\"error\":\"" +
-                         JsonEscape(id.status().message()) + "\"}");
+      std::string line =
+          RespHead() + "\"ok\":false,\"shed\":true,\"error\":\"";
+      obs::AppendJsonEscaped(&line, id.status().message());
+      SendLine(conn, line + "\"}");
       return;
     }
     ReplyError(conn, "inject: " + id.status().message());
@@ -394,11 +374,14 @@ void QueryService::OnPredictor(const std::string& key,
 }
 
 std::string QueryService::PredictorJson(const QueryState& q) const {
-  return RespHead() + "\"event\":\"predictor\",\"query_id\":\"" + q.id.ToHex() +
-         "\",\"total_rows\":" + JsonDouble(q.predictor_rows) +
-         ",\"endsystems\":" + std::to_string(q.predictor_endsystems) +
-         ",\"complete_now\":" + JsonDouble(q.predictor_complete_now) +
-         ",\"line\":\"" + JsonEscape(q.predictor_line) + "\"}";
+  std::string out =
+      RespHead() + "\"event\":\"predictor\",\"query_id\":\"" + q.id.ToHex() +
+      "\",\"total_rows\":" + JsonDouble(q.predictor_rows) +
+      ",\"endsystems\":" + std::to_string(q.predictor_endsystems) +
+      ",\"complete_now\":" + JsonDouble(q.predictor_complete_now) +
+      ",\"line\":\"";
+  obs::AppendJsonEscaped(&out, q.predictor_line);
+  return out + "\"}";
 }
 
 void QueryService::OnResult(const std::string& key,
@@ -441,7 +424,9 @@ std::string QueryService::StatusJson(const QueryState& q) const {
                     ",\"complete\":" + (q.complete ? "true" : "false") +
                     ",\"cancelled\":" + (q.cancelled ? "true" : "false");
   if (q.have_result) {
-    out += ",\"final\":\"" + JsonEscape(q.final_line) + "\"";
+    out += ",\"final\":\"";
+    obs::AppendJsonEscaped(&out, q.final_line);
+    out += "\"";
   }
   out += "}";
   return out;
@@ -462,14 +447,18 @@ std::string QueryService::StatsJson() const {
   for (const auto& [name, c] : cluster_->obs().metrics.counters()) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + JsonEscape(name) + "\":" + std::to_string(c->value());
+    out += '"';
+    obs::AppendJsonEscaped(&out, name);
+    out += "\":" + std::to_string(c->value());
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, g] : cluster_->obs().metrics.gauges()) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + JsonEscape(name) + "\":" + std::to_string(g->value());
+    out += '"';
+    obs::AppendJsonEscaped(&out, name);
+    out += "\":" + std::to_string(g->value());
   }
   out += "}}";
   return out;

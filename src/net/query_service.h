@@ -58,9 +58,6 @@ namespace seaweed::net {
 // documents what each version means.
 inline constexpr int kProtocolVersion = 1;
 
-// Escapes a string for embedding in a JSON string literal (no quotes added).
-std::string JsonEscape(const std::string& s);
-
 class QueryService {
  public:
   // Listens on `port` (all interfaces) using `cluster`'s event loop.

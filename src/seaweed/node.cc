@@ -258,12 +258,8 @@ void SeaweedNode::OnNeighborFailed(const NodeHandle& neighbor) {
       }
     }
     if (target.has_value()) {
-      auto msg = std::make_shared<SeaweedMessage>();
-      msg->kind = SeaweedMessage::Kind::kMetadataPush;
-      msg->metadata = rec->Decoded();
-      msg->metadata_wire_bytes = data_->SummaryWireBytes(index());
       metrics_->metadata_rereplications->Add();
-      SendSeaweed(*target, msg, TrafficCategory::kMetadata);
+      PushRecordTo(*target, *rec);
     }
   }
 }
@@ -284,14 +280,7 @@ void SeaweedNode::OnNeighborAdded(const NodeHandle& neighbor) {
     // k holders would re-push the same record on every join, amplifying the
     // churn re-replication cost k-fold over the model's k(h+a) per event.
     if (!IsLikelyRootFor(owner)) continue;
-    if (LikelyReplicaFor(owner, neighbor)) {
-      auto msg = std::make_shared<SeaweedMessage>();
-      msg->kind = SeaweedMessage::Kind::kMetadataPush;
-      msg->metadata = rec->Decoded();
-      msg->metadata_wire_bytes =
-          data_->SummaryWireBytes(index());  // summaries are same order size
-      SendSeaweed(neighbor, msg, TrafficCategory::kMetadata);
-    }
+    if (LikelyReplicaFor(owner, neighbor)) PushRecordTo(neighbor, *rec);
   }
   // The newcomer shifted the replica boundary: drop records we are no longer
   // a likely replica for. Waiting for the periodic push tick is fine in
@@ -323,9 +312,9 @@ void SeaweedNode::OnAppSendFailed(const NodeHandle& dead,
   auto msg = WireMessageCast<SeaweedMessage>(payload);
   switch (msg->kind) {
     case SeaweedMessage::Kind::kBroadcast:
-      // A child range we handed to a now-dead contact: reissue via routing
-      // immediately instead of waiting out the child timeout.
-      ReissueChildOnDrop(msg->query_id, msg->range);
+      // A child range we handed to a now-dead contact: take its reissue
+      // step now instead of waiting out the child timeout.
+      StepChild(msg->query_id, "", msg->range.Token(), 0);
       return;
     case SeaweedMessage::Kind::kResultSubmit:
       // A handover forward hit a dead node. Re-handle locally: the dead
@@ -340,51 +329,6 @@ void SeaweedNode::OnAppSendFailed(const NodeHandle& dead,
       // would only duplicate them.
       return;
   }
-}
-
-void SeaweedNode::ReissueChildOnDrop(const NodeId& query_id,
-                                     const IdRange& range) {
-  auto it = active_.find(query_id);
-  if (it == active_.end()) return;
-  const std::string child_token = range.Token();
-  for (auto& [token, task] : it->second.tasks) {
-    auto c = task.children.find(child_token);
-    if (c == task.children.end()) continue;
-    if (task.finished || c->second.done ||
-        c->second.tries > config_.max_child_retries) {
-      return;
-    }
-    metrics_->dissem_fastpath_reissues->Add();
-    c->second.via_routing = true;
-    DispatchChild(it->second, task, c->second);
-    return;
-  }
-}
-
-void SeaweedNode::ArmChildRedissemination(const NodeId& query_id,
-                                          const std::string& task_token,
-                                          const std::string& child_token) {
-  if (config_.dissem_refresh_period <= 0) return;
-  uint64_t gen = generation_;
-  sim()->After(config_.dissem_refresh_period,
-               [this, gen, query_id, task_token, child_token] {
-    if (gen != generation_) return;
-    auto it = active_.find(query_id);
-    if (it == active_.end() || it->second.query.ExpiredAt(sim()->Now())) {
-      return;
-    }
-    auto t = it->second.tasks.find(task_token);
-    if (t == it->second.tasks.end()) return;
-    auto c = t->second.children.find(child_token);
-    if (c == t->second.children.end() || c->second.reported) return;
-    metrics_->dissem_refreshes->Add();
-    // Route rather than send direct: the original contact is the likely
-    // casualty, and routing lets the overlay pick whoever now owns the
-    // range (possibly the restarted node under a fresh handle).
-    c->second.via_routing = true;
-    DispatchChild(it->second, t->second, c->second);
-    ArmChildRedissemination(query_id, task_token, child_token);
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -470,6 +414,16 @@ void SeaweedNode::PushMetadataTo(const NodeHandle& to) {
   SendSeaweed(to, msg, TrafficCategory::kMetadata);
 }
 
+void SeaweedNode::PushRecordTo(const NodeHandle& to,
+                               const MetadataStore::Record& rec) {
+  auto msg = std::make_shared<SeaweedMessage>();
+  msg->kind = SeaweedMessage::Kind::kMetadataPush;
+  msg->metadata = rec.Decoded();
+  // Charged at our own summary's size: summaries are of the same order.
+  msg->metadata_wire_bytes = data_->SummaryWireBytes(index());
+  SendSeaweed(to, msg, TrafficCategory::kMetadata);
+}
+
 void SeaweedNode::PushMetadataTick(uint64_t generation) {
   if (generation != generation_ || !pastry_->joined()) return;
   ++metadata_version_;
@@ -516,22 +470,16 @@ NodeId SeaweedNode::Originate(const Query& query, QueryObserver observer,
   aq.is_origin = true;
   aq.observer = std::move(observer);
   StartQueryTrace(aq, kind);
-  // The tree root is the node closest to queryId; it reports back to us.
-  auto msg = MakeBroadcast(query, IdRange::Full(qid));
-  RouteSeaweed(qid, msg, TrafficCategory::kDissemination);
-  ChargeQueryTx(aq, msg->WireBytes());
+  // The origin's own task: the full range is its one child, routed toward
+  // the node closest to the queryId, the tree root, which reports back.
+  const IdRange none = IdRange::Empty(qid);
+  RangeTask& task = aq.tasks[none.Token()];
+  task.range = none;
+  ChildRange& root = task.children[IdRange::Full(qid).Token()];
+  root.range = IdRange::Full(qid);
+  root.via_routing = true;
+  DispatchChild(aq, task, root);
   return qid;
-}
-
-SeaweedMessagePtr SeaweedNode::MakeBroadcast(const Query& query,
-                                             const IdRange& range) const {
-  auto msg = std::make_shared<SeaweedMessage>();
-  msg->kind = SeaweedMessage::Kind::kBroadcast;
-  msg->queries.push_back(query);
-  msg->query_id = query.query_id;
-  msg->range = range;
-  msg->parent = pastry_->handle();
-  return msg;
 }
 
 Result<NodeId> SeaweedNode::InjectQuery(const std::string& sql,
@@ -739,13 +687,11 @@ bool SeaweedNode::CoveredByLeafset(const IdRange& range) const {
   return off_lo <= off_hi && off_hi <= span;
 }
 
-void SeaweedNode::HandleBroadcast(const NodeHandle& from,
-                                  const SeaweedMessagePtr& msg) {
-  (void)from;
+void SeaweedNode::HandleBroadcast(const SeaweedMessagePtr& msg) {
   SEAWEED_CHECK(!msg->queries.empty());
+  if (msg->range.IsEmpty()) return;  // names the origin's own task
   EnsureQueryActive(msg->queries[0]);
   auto& aq = active_[msg->query_id];
-  const bool report_to_origin = msg->range.full;
 
   const std::string token = msg->range.Token();
   auto existing = aq.tasks.find(token);
@@ -758,17 +704,15 @@ void SeaweedNode::HandleBroadcast(const NodeHandle& from,
     }
     return;
   }
-  ProcessRange(aq, msg->range, msg->parent, report_to_origin);
+  ProcessRange(aq, msg->range, msg->parent);
 }
 
 void SeaweedNode::ProcessRange(ActiveQuery& aq, const IdRange& range,
-                               const NodeHandle& parent,
-                               bool report_to_origin) {
+                               const NodeHandle& parent) {
   const std::string token = range.Token();
   RangeTask& task = aq.tasks[token];
   task.range = range;
   task.parent = parent;
-  task.report_to_origin = report_to_origin;
 
   // Worklist of subranges this node resolves locally; anything covered by a
   // remote node becomes a child entry with a network dispatch.
@@ -885,54 +829,112 @@ void SeaweedNode::ProcessRange(ActiveQuery& aq, const IdRange& range,
   tracer_->EndSpan(span, sim()->Now());
 }
 
-void SeaweedNode::DispatchChild(ActiveQuery& aq, RangeTask& task,
+std::pair<SeaweedNode::RangeTask*, SeaweedNode::ChildRange*>
+SeaweedNode::FindChildRange(ActiveQuery& aq, const std::string& task_token,
+                            const std::string& child_token) {
+  auto t = task_token.empty() ? aq.tasks.begin() : aq.tasks.find(task_token);
+  for (; t != aq.tasks.end(); ++t) {
+    auto c = t->second.children.find(child_token);
+    if (c != t->second.children.end()) return {&t->second, &c->second};
+    if (!task_token.empty()) break;
+  }
+  return {nullptr, nullptr};
+}
+
+void SeaweedNode::DispatchChild(ActiveQuery& aq, const RangeTask& task,
                                 ChildRange& child) {
   ++child.tries;
   ++child.attempt;
   if (child.tries > 1) metrics_->dissem_reissues->Add();
-  auto msg = MakeBroadcast(aq.query, child.range);
+  auto msg = std::make_shared<SeaweedMessage>();
+  msg->kind = SeaweedMessage::Kind::kBroadcast;
+  msg->queries.push_back(aq.query);
+  msg->query_id = aq.query.query_id;
+  msg->range = child.range;
+  msg->parent = pastry_->handle();
+  ChargeQueryTx(aq, msg->WireBytes());
+  // The fast retries back off per try, so an injected loss burst does not
+  // turn every child into a fixed-rate retry storm; past the give-up the
+  // refresh keeps its own cadence.
+  const SimDuration wait =
+      child.tries > config_.max_child_retries + 1
+          ? config_.dissem_refresh_period
+          : RetryBackoff(config_.child_timeout, child.tries,
+                         config_.max_retry_backoff);
+  const NodeId query_id = aq.query.query_id;
+  const int attempt = child.attempt;
+  std::string task_token = task.range.Token();
+  std::string child_token = child.range.Token();
+  // A routed range may land here (an origin that is the tree root) and run
+  // on to the delivery, whose observer may end the query: past the send,
+  // nothing touches `aq` or `child`.
   if (child.via_routing) {
-    RouteSeaweed(child.range.Mid(), msg, TrafficCategory::kDissemination);
+    // The full range heads for its anchor, the queryId; others for their
+    // midpoint.
+    RouteSeaweed(child.range.full ? child.range.lo : child.range.Mid(), msg,
+                 TrafficCategory::kDissemination);
   } else {
     SendSeaweed(child.contact, msg, TrafficCategory::kDissemination);
   }
-  ChargeQueryTx(aq, msg->WireBytes());
-  // Arm the reissue timer, backing off per attempt so an injected loss
-  // burst does not turn every child into a fixed-rate retry storm.
+  ArmChildTimer(query_id, std::move(task_token), std::move(child_token),
+                attempt, wait);
+}
+
+void SeaweedNode::ArmChildTimer(const NodeId& query_id,
+                                std::string task_token,
+                                std::string child_token, int attempt,
+                                SimDuration wait) {
   uint64_t gen = generation_;
-  NodeId qid = aq.query.query_id;
-  std::string task_token = task.range.Token();
-  std::string child_token = child.range.Token();
-  int attempt = child.attempt;
-  SimDuration timeout = RetryBackoff(config_.child_timeout, child.tries,
-                                     config_.max_retry_backoff);
-  sim()->After(timeout, [this, gen, qid, task_token, child_token, attempt] {
+  sim()->After(wait, [this, gen, query_id, task_token = std::move(task_token),
+                      child_token = std::move(child_token), attempt] {
     if (gen != generation_) return;
-    auto it = active_.find(qid);
-    if (it == active_.end()) return;
-    auto t = it->second.tasks.find(task_token);
-    if (t == it->second.tasks.end() || t->second.finished) return;
-    auto c = t->second.children.find(child_token);
-    if (c == t->second.children.end() || c->second.done) return;
-    // Superseded: a drop-notice fast path already re-dispatched this child
-    // and armed a fresh timer; firing here too would double-reissue.
-    if (c->second.attempt != attempt) return;
-    if (c->second.tries > config_.max_child_retries) {
-      // Give up on this subrange: report what we have (coverage loss is
-      // visible to the user as a slightly low predictor). The range is not
-      // abandoned outright — the slow refresh keeps re-sending the
-      // descriptor so a crashed-and-restarted subtree, which lost every
-      // in-flight query with its process, eventually learns it again and
-      // its results flow through the self-healing result plane.
-      c->second.done = true;
-      FinishTaskIfDone(it->second, t->second);
-      ArmChildRedissemination(qid, task_token, child_token);
+    StepChild(query_id, task_token, child_token, attempt);
+  });
+}
+
+void SeaweedNode::StepChild(const NodeId& query_id,
+                            const std::string& task_token,
+                            const std::string& child_token, int attempt) {
+  auto it = active_.find(query_id);
+  if (it == active_.end()) return;
+  ActiveQuery& aq = it->second;
+  auto [task, child] = FindChildRange(aq, task_token, child_token);
+  if (child == nullptr || child->reported) return;
+  const bool exhausted = child->tries > config_.max_child_retries;
+  if (task_token.empty()) {
+    if (child->done || exhausted) return;
+    metrics_->dissem_fastpath_reissues->Add();
+  } else if (attempt != child->attempt) {
+    // Superseded: a drop notice already reissued this child and armed a
+    // fresh timer; going on here would double-reissue.
+    return;
+  } else if (exhausted && !child->done && !IsOriginTask(*task)) {
+    // Give up on this subrange: report what we have (coverage loss is
+    // visible to the user as a slightly low predictor). The range is not
+    // abandoned outright — the refresh keeps re-sending the descriptor so
+    // a crashed-and-restarted subtree, which lost every in-flight query
+    // with its process, eventually learns it again and its results flow
+    // through the self-healing result plane. The origin has nothing to
+    // report without its one child, so it goes straight on to the refresh.
+    child->done = true;
+    FinishTaskIfDone(aq, *task);
+    if (config_.dissem_refresh_period > 0) {
+      ArmChildTimer(query_id, task_token, child_token, attempt,
+                    config_.dissem_refresh_period);
+    }
+    return;
+  } else if (exhausted) {
+    if (config_.dissem_refresh_period <= 0 ||
+        aq.query.ExpiredAt(sim()->Now())) {
       return;
     }
-    // Reissue, preferring routing this time (the contact may be dead).
-    c->second.via_routing = true;
-    DispatchChild(it->second, t->second, c->second);
-  });
+    metrics_->dissem_refreshes->Add();
+  }
+  // Reissue by routing: the contact may be dead, and the overlay picks
+  // whoever now owns the range (possibly a restarted node under a fresh
+  // handle).
+  child->via_routing = true;
+  DispatchChild(aq, *task, *child);
 }
 
 void SeaweedNode::GeneratePredictorFor(ActiveQuery& aq, const IdRange& range,
@@ -1016,54 +1018,51 @@ void SeaweedNode::FinishTaskIfDone(ActiveQuery& aq, RangeTask& task) {
 }
 
 void SeaweedNode::ReportTask(ActiveQuery& aq, RangeTask& task) {
+  if (IsOriginTask(task)) {
+    if (aq.query.IsViewSnapshot()) {
+      DeliverResult(aq, task.view_acc);
+    } else {
+      DeliverPredictor(aq, task.acc);
+    }
+    return;
+  }
   auto msg = std::make_shared<SeaweedMessage>();
+  msg->kind = SeaweedMessage::Kind::kPredictorReport;
   msg->query_id = aq.query.query_id;
   msg->range = task.range;
   msg->predictor = task.acc;
   msg->result = task.view_acc;  // non-empty only for view snapshots
-  if (task.report_to_origin) {
-    if (aq.query.IsViewSnapshot() && aq.is_origin && aq.observer.on_result) {
-      // Origin is itself the tree root.
-      DeliverResult(aq, task.view_acc);
-      return;
-    }
-    msg->kind = aq.query.IsViewSnapshot()
-                    ? SeaweedMessage::Kind::kResultDeliver
-                    : SeaweedMessage::Kind::kPredictorDeliver;
-    SendSeaweed(aq.query.origin, msg, TrafficCategory::kPredictor);
-  } else {
-    msg->kind = SeaweedMessage::Kind::kPredictorReport;
-    SendSeaweed(task.parent, msg, TrafficCategory::kPredictor);
-  }
+  // Charged first: a report to ourselves (the tree root is the origin) runs
+  // on to the delivery, whose observer may end the query.
   ChargeQueryTx(aq, msg->WireBytes());
+  SendSeaweed(task.parent, msg, TrafficCategory::kPredictor);
 }
 
 void SeaweedNode::HandlePredictorReport(const SeaweedMessagePtr& msg) {
   auto it = active_.find(msg->query_id);
   if (it == active_.end()) return;
   ActiveQuery& aq = it->second;
-  const std::string child_token = msg->range.Token();
-  for (auto& [token, task] : aq.tasks) {
-    auto c = task.children.find(child_token);
-    if (c == task.children.end()) continue;
-    // Even a late report (after give-up marked the child done) counts as
-    // contact: it stops the slow re-dissemination refresh. The data is not
-    // merged late — the task already reported upward — but the result
-    // plane carries the actual rows regardless.
-    c->second.reported = true;
-    if (!c->second.done) {
-      c->second.done = true;
+  auto [task, child] = FindChildRange(aq, "", msg->range.Token());
+  if (child == nullptr) return;
+  // Even a late report (after give-up marked the child done) counts as
+  // contact: it ends the refresh. The data is not merged late — the task
+  // already reported upward — but the result plane carries the actual rows
+  // regardless.
+  child->reported = true;
+  if (!child->done) {
+    child->done = true;
+    // The origin only hands the root's report on; merges are tree work.
+    if (!IsOriginTask(*task)) {
       metrics_->predictor_merges->Add();
       obs::SpanId span = tracer_->StartSpan(
           "predictor_merge", obs::TraceKey(msg->query_id), sim()->Now());
       tracer_->AddAttr(span, "node", static_cast<int64_t>(index()));
       tracer_->EndSpan(span, sim()->Now());
-      task.acc.Merge(msg->predictor);
-      task.view_acc.Merge(msg->result);
     }
-    FinishTaskIfDone(aq, task);
-    return;
+    task->acc.Merge(msg->predictor);
+    task->view_acc.Merge(msg->result);
   }
+  FinishTaskIfDone(aq, *task);
 }
 
 // ---------------------------------------------------------------------------
@@ -1578,18 +1577,11 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
       break;
     }
     case SeaweedMessage::Kind::kBroadcast:
-      HandleBroadcast(from, msg);
+      HandleBroadcast(msg);
       break;
     case SeaweedMessage::Kind::kPredictorReport:
       HandlePredictorReport(msg);
       break;
-    case SeaweedMessage::Kind::kPredictorDeliver: {
-      auto it = active_.find(msg->query_id);
-      if (it != active_.end() && it->second.is_origin) {
-        DeliverPredictor(it->second, msg->predictor);
-      }
-      break;
-    }
     case SeaweedMessage::Kind::kResultSubmit:
       HandleResultSubmit(from, msg);
       break;

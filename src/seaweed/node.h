@@ -217,22 +217,23 @@ class SeaweedNode : public overlay::PastryApp {
     overlay::NodeHandle contact;  // where we sent it (may be re-resolved)
     bool via_routing = false;     // sent by key-routing (no known contact)
     int tries = 0;
-    // Dispatch epoch: each (re)issue bumps it and arms a timer carrying the
+    // Dispatch epoch: each dispatch bumps it and arms a timer carrying the
     // new value; a firing timer whose epoch is stale was superseded by a
-    // faster reissue (the drop-notice path) and must not double-dispatch.
+    // drop notice's earlier reissue and must not double-dispatch.
     int attempt = 0;
     bool done = false;
     // A predictor report actually arrived (done alone can also mean "gave
-    // up"); gates the slow re-dissemination refresh.
+    // up"); ends the child's timer chain.
     bool reported = false;
   };
 
   // One outstanding dissemination task: a range this node must cover and
-  // report a predictor for.
+  // report a predictor for. The origin's own task covers the empty range at
+  // the queryId; its one child is the full range, and its report is the
+  // delivery to the query's observer.
   struct RangeTask {
     IdRange range;
     overlay::NodeHandle parent;
-    bool report_to_origin = false;  // we are the tree root
     CompletenessPredictor acc;
     db::AggregateResult view_acc;   // view-snapshot queries accumulate here
     std::map<std::string, ChildRange> children;
@@ -328,6 +329,9 @@ class SeaweedNode : public overlay::PastryApp {
   // --- Metadata plane ---
   void PushMetadataTick(uint64_t generation);
   void PushMetadataTo(const overlay::NodeHandle& to);
+  // Anti-entropy and re-replication: pushes a stored record to `to`.
+  void PushRecordTo(const overlay::NodeHandle& to,
+                    const MetadataStore::Record& rec);
   // Drops records of owners believed up that we no longer qualify as a
   // replica for (safe any time: live owners re-push every period). Records
   // of down owners are only evicted by the periodic tick.
@@ -337,10 +341,9 @@ class SeaweedNode : public overlay::PastryApp {
                         const overlay::NodeHandle& holder) const;
 
   // --- Dissemination plane ---
-  void HandleBroadcast(const overlay::NodeHandle& from,
-                       const SeaweedMessagePtr& msg);
+  void HandleBroadcast(const SeaweedMessagePtr& msg);
   void ProcessRange(ActiveQuery& aq, const IdRange& range,
-                    const overlay::NodeHandle& parent, bool report_to_origin);
+                    const overlay::NodeHandle& parent);
   // Terminal handling: fills `out` with this node's predictor for `range`.
   void GeneratePredictorFor(ActiveQuery& aq, const IdRange& range,
                             CompletenessPredictor* out);
@@ -350,15 +353,22 @@ class SeaweedNode : public overlay::PastryApp {
                        db::AggregateResult* out);
   IdRange MyCell() const;
   bool CoveredByLeafset(const IdRange& range) const;
-  void DispatchChild(ActiveQuery& aq, RangeTask& task, ChildRange& child);
-  // Drop-notice fast path for a kBroadcast that hit a dead contact:
-  // reissues the child covering (query_id, range) via routing.
-  void ReissueChildOnDrop(const NodeId& query_id, const IdRange& range);
-  // Slow-cadence descriptor refresh for a child range whose fast retry
-  // chain was exhausted; runs until the child reports or the query dies.
-  void ArmChildRedissemination(const NodeId& query_id,
-                               const std::string& task_token,
-                               const std::string& child_token);
+  static bool IsOriginTask(const RangeTask& t) { return t.range.IsEmpty(); }
+  // Child `child_token` of task `task_token` or, if that is empty, of the
+  // first task in token order that has one; nullptrs if none.
+  static std::pair<RangeTask*, ChildRange*> FindChildRange(
+      ActiveQuery& aq, const std::string& task_token,
+      const std::string& child_token);
+  // Sends the child's kBroadcast, directly or by routing, and arms its timer.
+  void DispatchChild(ActiveQuery& aq, const RangeTask& task,
+                     ChildRange& child);
+  void ArmChildTimer(const NodeId& query_id, std::string task_token,
+                     std::string child_token, int attempt, SimDuration wait);
+  // A child range's one reissue step, taken when the timer of its dispatch
+  // `attempt` fires, or early on a drop notice, which names no task: a
+  // routed reissue, the give-up after max_child_retries, or a refresh.
+  void StepChild(const NodeId& query_id, const std::string& task_token,
+                 const std::string& child_token, int attempt);
   void FinishTaskIfDone(ActiveQuery& aq, RangeTask& task);
   void ReportTask(ActiveQuery& aq, RangeTask& task);
   void HandlePredictorReport(const SeaweedMessagePtr& msg);
@@ -366,13 +376,10 @@ class SeaweedNode : public overlay::PastryApp {
   // --- Origination ---
   // This endsystem is up and admission control admits one more query.
   Status CheckCanOriginate();
-  // Makes this node `query`'s origin and routes its full-range broadcast
-  // toward the tree root.
+  // Makes this node `query`'s origin and dispatches the full range toward
+  // the tree root as its own task's one child.
   NodeId Originate(const Query& query, QueryObserver observer,
                    const char* kind);
-  // Asks the receiver to cover `range` of `query` and report back to us.
-  SeaweedMessagePtr MakeBroadcast(const Query& query,
-                                  const IdRange& range) const;
   // Origin-side delivery: ends the span the arrival closes, records its
   // latency and runs the observer, which may erase `aq`. A view snapshot
   // has no predictor phase, so its result also ends dissemination.

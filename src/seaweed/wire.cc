@@ -29,8 +29,7 @@ void SeaweedMessage::EncodeBody(Writer& w) const {
       w.PutVarint(queries.size());
       for (const Query& q : queries) q.Encode(w);
       break;
-    case Kind::kPredictorReport:
-    case Kind::kPredictorDeliver: {
+    case Kind::kPredictorReport: {
       w.PutNodeId(query_id);
       range.Encode(w);
       predictor.Encode(w);
@@ -89,7 +88,9 @@ void SeaweedMessage::EncodeBody(Writer& w) const {
 Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
   auto msg = std::make_shared<SeaweedMessage>();
   SEAWEED_ASSIGN_OR_RETURN(uint8_t kind_raw, r.GetU8());
-  if (kind_raw > static_cast<uint8_t>(Kind::kQueryCancel)) {
+  // Tag 3 is retired (see Kind).
+  if (kind_raw == 3 ||
+      kind_raw > static_cast<uint8_t>(Kind::kQueryCancel)) {
     return Status::ParseError("bad seaweed message kind " +
                               std::to_string(kind_raw));
   }
@@ -119,8 +120,7 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
       }
       break;
     }
-    case Kind::kPredictorReport:
-    case Kind::kPredictorDeliver: {
+    case Kind::kPredictorReport: {
       SEAWEED_ASSIGN_OR_RETURN(msg->query_id, r.GetNodeId());
       SEAWEED_ASSIGN_OR_RETURN(msg->range, IdRange::Decode(r));
       SEAWEED_ASSIGN_OR_RETURN(msg->predictor,

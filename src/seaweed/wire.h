@@ -20,12 +20,14 @@ namespace seaweed {
 struct SeaweedMessage : WireMessage {
   static constexpr uint8_t kWireType = wire_type::kSeaweedMessage;
 
+  // Tag 3 was the tree root's predictor delivery to the origin, which is
+  // now a kPredictorReport; like 11 (a batched broadcast once), it no
+  // longer decodes.
   enum class Kind : uint8_t {
     kMetadataPush,      // owner (or anti-entropy peer) -> replica holder
     kBroadcast,         // query dissemination: handle this namespace range
     kPredictorReport,   // child -> parent in the distribution tree
-    kPredictorDeliver,  // tree root -> query origin
-    kResultSubmit,      // leaf/vertex -> parent vertex primary
+    kResultSubmit = 4,  // leaf/vertex -> parent vertex primary
     kResultAck,         // vertex primary -> submitter
     kVertexReplicate,   // vertex primary -> backups
     kResultDeliver,     // root vertex -> query origin
@@ -51,7 +53,7 @@ struct SeaweedMessage : WireMessage {
   IdRange range;
   overlay::NodeHandle parent;  // whom to report predictors to
 
-  // kPredictorReport / kPredictorDeliver
+  // kPredictorReport
   CompletenessPredictor predictor;
 
   // kResultSubmit / kResultAck / kResultDeliver

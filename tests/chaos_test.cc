@@ -153,9 +153,8 @@ TEST(ChaosTest, ConcurrentQueriesSurviveChaos) {
   // aggregate.
   const int n = 32;
   // The burst opens 400ms after injection: the origin's routed kBroadcast
-  // (which has no retry — the original soak injects pre-fault for the same
-  // reason) lands clean, while the tree dissemination below it runs
-  // straight into 25% loss.
+  // lands clean, while the tree dissemination below it runs straight into
+  // 25% loss.
   FaultPlan plan;
   plan.WithSeed(99)
       .AddBurst(15 * kMinute + 400 * kMillisecond, 45 * kMinute, 0.25)
@@ -227,16 +226,15 @@ TEST(ChaosTest, ConcurrentQueriesSurviveChaos) {
   EXPECT_GT(reissues, 0u);
 
   EXPECT_FALSE(overcounted);
-  // Predictor delivery is a single best-effort send (results are the
-  // hardened plane), so a burst can eat one: require most to land, and
-  // monotonicity for every one that did.
+  // The root's report to the origin is retried like every other child's,
+  // so every predictor lands, and each is monotone.
   int predictors = 0;
   for (int q = 0; q < kQueries; ++q) {
     predictors += got_predictor[q] ? 1 : 0;
     EXPECT_TRUE(predictor_ok[q]) << "query " << q;
     EXPECT_EQ(latest[q].endsystems, n) << "query " << q;
   }
-  EXPECT_GE(predictors, kQueries - 1);
+  EXPECT_EQ(predictors, kQueries);
   EXPECT_EQ(latest[0].rows_matched, exact_rows);
   ASSERT_FALSE(latest[0].states.empty());
   EXPECT_DOUBLE_EQ(latest[0].states[0].sum,
@@ -298,6 +296,64 @@ TEST(ChaosTest, DissemRefreshReteachesRangesAfterTotalLossOutlastsRetries) {
       << "), endsystems " << latest.endsystems << " (n " << n << ")";
   EXPECT_EQ(latest.rows_matched, exact_rows);
   EXPECT_EQ(latest.endsystems, n);
+}
+
+TEST(ChaosTest, QuerySurvivesLossOfTheOriginsFirstBroadcast) {
+  // The origin's full-range broadcast toward the tree root is a child range
+  // like any other: a total-loss burst that swallows it, and its first
+  // reissue, delays the query by one backoff step instead of losing it.
+  const int n = 24;
+  FaultPlan plan;
+  plan.WithSeed(17).AddBurst(15 * kMinute - kSecond,
+                             15 * kMinute + 25 * kSecond, 1.0);
+  ClusterOptions opts;
+  opts.WithEndsystems(n)
+      .WithSeed(7)
+      .WithSummaryWireBytes(0)
+      .WithFaultPlan(plan);
+  opts.seaweed().result_refresh_period = 5 * kMinute;
+  SeaweedCluster cluster(opts, MakeToyData(n));
+
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(10 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+
+  const int64_t exact_rows = ToyMatching(n);
+  int predictors = 0;
+  int64_t predicted_endsystems = 0;
+  bool overcounted = false;
+  db::AggregateResult latest;
+  QueryObserver obs;
+  obs.on_predictor = [&](const NodeId&, const CompletenessPredictor& p) {
+    ++predictors;
+    predicted_endsystems = p.endsystems();
+  };
+  obs.on_result = [&](const NodeId&, const db::AggregateResult& r) {
+    latest = r;
+    if (r.rows_matched > exact_rows || r.endsystems > n) overcounted = true;
+  };
+
+  cluster.sim().At(15 * kMinute, [&] {
+    auto qid = cluster.InjectQuery(
+        0, "SELECT SUM(bytes), COUNT(*) FROM Flow WHERE port = 80",
+        std::move(obs), /*ttl=*/6 * kHour);
+    ASSERT_TRUE(qid.ok()) << qid.status();
+  });
+
+  cluster.sim().RunUntil(kHour);
+
+  EXPECT_GT(CounterValue(cluster, "fault.burst_drops"), 0u);
+  EXPECT_GT(CounterValue(cluster, "seaweed.dissem_reissues"), 0u);
+  EXPECT_EQ(predictors, 1);
+  EXPECT_EQ(predicted_endsystems, n);
+  EXPECT_FALSE(overcounted)
+      << "rows " << latest.rows_matched << " (exact " << exact_rows
+      << "), endsystems " << latest.endsystems << " (n " << n << ")";
+  EXPECT_EQ(latest.rows_matched, exact_rows);
+  EXPECT_EQ(latest.endsystems, n);
+  ASSERT_FALSE(latest.states.empty());
+  EXPECT_DOUBLE_EQ(latest.states[0].sum,
+                   100.0 * static_cast<double>(exact_rows));
 }
 
 TEST(ChaosTest, RootChainPrimaryCrashBetweenFoldPasses) {

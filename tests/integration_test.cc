@@ -162,6 +162,54 @@ TEST(IntegrationTest, PredictorLatencyIsSeconds) {
   EXPECT_LT(cap.predictor_at - inject_at, 30 * kSecond);
 }
 
+// The origin's task and the tree root's task both cover the queryId, one as
+// the child range it dispatches and one as the range it handles. When the
+// origin is itself the root, its own report must still find the origin's
+// child, once: one predictor, no reissue.
+TEST(IntegrationTest, OriginThatIsTheTreeRootGetsOnePredictor) {
+  const int n = 40;
+  const std::string sql =
+      "SELECT SUM(bytes), COUNT(*) FROM Flow WHERE port = 80";
+  const std::string salt = "origin-is-root";
+  SeaweedCluster cluster(ToyConfig(n), MakeToyData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(5 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+
+  // The salt pins the queryId; the endsystem closest to it is the root.
+  auto probe = Query::Create(sql, 0, overlay::NodeHandle(), kHour, salt);
+  ASSERT_TRUE(probe.ok()) << probe.status();
+  const NodeId qid = probe->query_id;
+  int root = 0;
+  for (int e = 1; e < n; ++e) {
+    if (cluster.seaweed_node(e)->id().RingDistanceTo(qid) <
+        cluster.seaweed_node(root)->id().RingDistanceTo(qid)) {
+      root = e;
+    }
+  }
+
+  int predictors = 0;
+  Capture cap;
+  QueryObserver obs = cap.MakeObserver(&cluster.sim());
+  obs.on_predictor = [&predictors, inner = obs.on_predictor](
+                         const NodeId& id, const CompletenessPredictor& p) {
+    ++predictors;
+    inner(id, p);
+  };
+  auto injected = cluster.InjectQuery(root, sql, std::move(obs), kHour, salt);
+  ASSERT_TRUE(injected.ok()) << injected.status();
+  ASSERT_EQ(*injected, qid);
+  cluster.sim().RunUntil(cluster.sim().Now() + 10 * kMinute);
+
+  EXPECT_EQ(predictors, 1);
+  EXPECT_EQ(cap.predictor.endsystems(), n);
+  EXPECT_EQ(
+      cluster.obs().metrics.GetCounter("seaweed.dissem_reissues")->value(), 0u);
+  ASSERT_NE(cap.latest(), nullptr);
+  EXPECT_EQ(cap.latest()->rows_matched, ToyMatching(n));
+  EXPECT_EQ(cap.latest()->endsystems, n);
+}
+
 TEST(IntegrationTest, DownEndsystemsPredictedNotCountedYet) {
   const int n = 40;
   const int down_count = 8;

@@ -27,6 +27,7 @@
 #include "net/result_format.h"
 #include "net/shard_map.h"
 #include "net/socket_transport.h"
+#include "obs/export.h"
 #include "obs/jsonl_reader.h"
 #include "overlay/packet.h"
 #include "seaweed/wire.h"
@@ -487,9 +488,14 @@ TEST(ResultFormatTest, PredictorLineIsMonotoneFriendly) {
   EXPECT_NE(line.find("endsystems=4"), std::string::npos) << line;
 }
 
+// The control protocol escapes with the obs exporter's escaper.
 TEST(JsonEscapeTest, EscapesControlCharactersAndQuotes) {
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+  std::string out;
+  obs::AppendJsonEscaped(&out, "a\"b\\c\nd");
+  EXPECT_EQ(out, "a\\\"b\\\\c\\nd");
+  out.clear();
+  obs::AppendJsonEscaped(&out, std::string(1, '\x01'));
+  EXPECT_EQ(out, "\\u0001");
 }
 
 // In-process seaweedd: a 1-shard LiveCluster + QueryService, driven over

@@ -121,7 +121,6 @@ TEST(GoldenWireSizeTest, SeaweedMessageDefaults) {
       {SeaweedMessage::Kind::kMetadataPush, 74},
       {SeaweedMessage::Kind::kBroadcast, 72},
       {SeaweedMessage::Kind::kPredictorReport, 380},
-      {SeaweedMessage::Kind::kPredictorDeliver, 380},
       {SeaweedMessage::Kind::kResultSubmit, 76},
       {SeaweedMessage::Kind::kResultAck, 58},
       {SeaweedMessage::Kind::kVertexReplicate, 19},
@@ -299,32 +298,31 @@ TEST(SeaweedCodecTest, ContinuousAndViewQueriesRoundTrip) {
 }
 
 TEST(SeaweedCodecTest, PredictorKindsRoundTrip) {
-  for (auto kind : {SeaweedMessage::Kind::kPredictorReport,
-                    SeaweedMessage::Kind::kPredictorDeliver}) {
-    SeaweedMessage msg;
-    msg.kind = kind;
-    msg.query_id = NodeId(1, 2);
-    msg.range = IdRange::Full(NodeId(1, 2));
-    msg.predictor.AddRowsAt(10 * kMinute, 42.5);
+  // The tree root reports to the origin with this kind too.
+  const auto kind = SeaweedMessage::Kind::kPredictorReport;
+  SeaweedMessage msg;
+  msg.kind = kind;
+  msg.query_id = NodeId(1, 2);
+  msg.range = IdRange::Full(NodeId(1, 2));
+  msg.predictor.AddRowsAt(10 * kMinute, 42.5);
 
-    std::vector<uint8_t> bytes = EncodeToBytes(msg);
-    auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(bytes));
-    ASSERT_NE(copy, nullptr);
-    EXPECT_EQ(copy->predictor, msg.predictor);
-    EXPECT_EQ(copy->range, msg.range);
-    EXPECT_EQ(EncodeToBytes(*copy), bytes);
+  std::vector<uint8_t> bytes = EncodeToBytes(msg);
+  auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(bytes));
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(copy->predictor, msg.predictor);
+  EXPECT_EQ(copy->range, msg.range);
+  EXPECT_EQ(EncodeToBytes(*copy), bytes);
 
-    // View-snapshot variant: an aggregate rides along.
-    SeaweedMessage with_result;
-    with_result.kind = kind;
-    with_result.query_id = NodeId(1, 2);
-    with_result.result = TestResult();
-    std::vector<uint8_t> bytes2 = EncodeToBytes(with_result);
-    auto copy2 = WireMessageCast<SeaweedMessage>(DecodeAll(bytes2));
-    ASSERT_NE(copy2, nullptr);
-    EXPECT_EQ(copy2->result, with_result.result);
-    EXPECT_EQ(EncodeToBytes(*copy2), bytes2);
-  }
+  // View-snapshot variant: an aggregate rides along.
+  SeaweedMessage with_result;
+  with_result.kind = kind;
+  with_result.query_id = NodeId(1, 2);
+  with_result.result = TestResult();
+  std::vector<uint8_t> bytes2 = EncodeToBytes(with_result);
+  auto copy2 = WireMessageCast<SeaweedMessage>(DecodeAll(bytes2));
+  ASSERT_NE(copy2, nullptr);
+  EXPECT_EQ(copy2->result, with_result.result);
+  EXPECT_EQ(EncodeToBytes(*copy2), bytes2);
 }
 
 TEST(SeaweedCodecTest, ResultPlaneKindsRoundTrip) {
@@ -569,9 +567,9 @@ TEST(CorruptInputTest, BadTagsAndEnumsRejected) {
     Reader r(bytes);
     EXPECT_FALSE(DecodeWireMessage(r).ok());
   }
-  // Seaweed kinds out of range: 11 is the first unassigned kind (it was a
-  // batched broadcast once, and no longer decodes).
-  for (uint8_t bad_kind : {uint8_t{11}, uint8_t{0x7F}}) {
+  // Seaweed kinds out of range or retired: 3 was the tree root's predictor
+  // delivery and 11 a batched broadcast once; neither decodes.
+  for (uint8_t bad_kind : {uint8_t{3}, uint8_t{11}, uint8_t{0x7F}}) {
     SeaweedMessage msg;
     msg.kind = SeaweedMessage::Kind::kQueryCancel;
     std::vector<uint8_t> bytes = EncodeToBytes(msg);
@@ -757,7 +755,9 @@ TEST(RandomizedFixpointTest, AllSeaweedKinds) {
   Rng rng(7);
   for (int iter = 0; iter < 200; ++iter) {
     SeaweedMessage msg;
-    msg.kind = static_cast<SeaweedMessage::Kind>(rng.NextBelow(11));
+    // The ten live kinds: tags 0-10 but the retired 3.
+    const uint64_t tag = rng.NextBelow(10);
+    msg.kind = static_cast<SeaweedMessage::Kind>(tag < 3 ? tag : tag + 1);
     msg.query_id = RandomId(rng);
     msg.vertex_id = RandomId(rng);
     msg.child_key = RandomId(rng);

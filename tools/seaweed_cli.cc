@@ -45,6 +45,7 @@
 #include <string>
 
 #include "net/query_service.h"
+#include "obs/export.h"
 #include "obs/jsonl_reader.h"
 
 namespace {
@@ -240,10 +241,15 @@ const obs::Json& CheckOk(const obs::Json& resp) {
 
 std::string SubmitJson(const std::string& sql, int ttl_s,
                        const std::string& salt) {
-  std::string req = ReqHead("submit") + ",\"sql\":\"" + net::JsonEscape(sql) +
-                    "\"";
+  std::string req = ReqHead("submit") + ",\"sql\":\"";
+  obs::AppendJsonEscaped(&req, sql);
+  req += '"';
   if (ttl_s > 0) req += ",\"ttl_s\":" + std::to_string(ttl_s);
-  if (!salt.empty()) req += ",\"salt\":\"" + net::JsonEscape(salt) + "\"";
+  if (!salt.empty()) {
+    req += ",\"salt\":\"";
+    obs::AppendJsonEscaped(&req, salt);
+    req += '"';
+  }
   req += "}";
   return req;
 }
