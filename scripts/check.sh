@@ -46,9 +46,9 @@ require_counter() {
 
 # Runs one simulation twice within the SAME build tree — once over the
 # in-memory transport, once with every message encoded to bytes and decoded
-# back in flight — and asserts bit-identical stdout. Comparing across build
-# trees would be invalid (floating-point results differ by optimization
-# level), so each build checks against itself.
+# back in flight — and asserts bit-identical stdout and obs dumps. Comparing
+# across build trees would be invalid (floating-point results differ by
+# optimization level), so each build checks against itself.
 differential() {
   local build="$1"
   local simbin="$build/examples/simctl"
@@ -64,7 +64,11 @@ differential() {
     echo "FAIL: serializing transport changed simulation output" >&2
     exit 1
   fi
-  echo "outputs bit-identical"
+  if ! cmp "$build/sim_mem.jsonl" "$build/sim_ser.jsonl"; then
+    echo "FAIL: serializing transport changed the obs dump" >&2
+    exit 1
+  fi
+  echo "outputs and obs dumps bit-identical"
   # The batched re-propagation timers must have fired on both sides.
   require_counter "$build/sim_mem.jsonl" seaweed.vertex_repropagations
   require_counter "$build/sim_ser.jsonl" seaweed.vertex_repropagations
@@ -91,8 +95,8 @@ GIVEUP_PLAN='{
 
 # Runs the same chaos simulation twice through the full decorator stack
 # (wire codec + fault injection from the JSON plan $3, named $2) and asserts
-# bit-identical stdout: the deterministic-replay guarantee, end to end
-# through simctl. Every counter named after the plan must be > 0 in both
+# bit-identical stdout and obs dumps: the deterministic-replay guarantee, end
+# to end through simctl. Every counter named after the plan must be > 0 in both
 # runs' dumps.
 chaos_replay() {
   local build="$1" name="$2" plan_json="$3"
@@ -113,7 +117,11 @@ chaos_replay() {
     echo "FAIL: $name run is not seed-deterministic" >&2
     exit 1
   fi
-  echo "replays bit-identical"
+  if ! cmp "$build/sim_${name}_a.jsonl" "$build/sim_${name}_b.jsonl"; then
+    echo "FAIL: $name replay changed the obs dump" >&2
+    exit 1
+  fi
+  echo "replays and obs dumps bit-identical"
   local counter
   for counter in "$@"; do
     require_counter "$build/sim_${name}_a.jsonl" "$counter"

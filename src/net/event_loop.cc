@@ -86,32 +86,11 @@ void EventLoop::UnwatchFd(int fd) {
                  watches_.end());
 }
 
-void EventLoop::RunInLoop(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(posted_mu_);
-    posted_.push_back(std::move(fn));
-  }
-  WakeFromSignal();
-}
-
-void EventLoop::WakeFromSignal() {
+void EventLoop::Stop() {
+  stop_ = 1;
   const char byte = 'w';
   // Best effort: a full pipe already guarantees a pending wake.
   [[maybe_unused]] ssize_t n = write(wake_pipe_[1], &byte, 1);
-}
-
-void EventLoop::Stop() {
-  stop_ = true;
-  WakeFromSignal();
-}
-
-void EventLoop::DrainPosted() {
-  std::vector<std::function<void()>> batch;
-  {
-    std::lock_guard<std::mutex> lock(posted_mu_);
-    batch.swap(posted_);
-  }
-  for (auto& fn : batch) fn();
 }
 
 void EventLoop::FireDueTimers() {
@@ -126,7 +105,6 @@ void EventLoop::FireDueTimers() {
 }
 
 void EventLoop::RunOnce(SimDuration max_wait) {
-  DrainPosted();
   FireDueTimers();
   if (stop_) return;
 
@@ -169,7 +147,6 @@ void EventLoop::RunOnce(SimDuration max_wait) {
 
 void EventLoop::Run() {
   while (!stop_) RunOnce(/*max_wait=*/100 * kMillisecond);
-  DrainPosted();
 }
 
 }  // namespace seaweed::net

@@ -5,10 +5,10 @@
 // (PastryNode, SeaweedNode) holds a Scheduler* and never learns whether
 // Now() is simulated or real: here Now() is a monotonic microsecond clock
 // anchored to a configurable epoch, At()/After()/Cancel() are timers on the
-// calendar queue, and every callback — timer, fd readiness, or a closure
-// posted from another thread via RunInLoop — runs on the one loop thread,
-// so the single-threaded execution model protocol code was written against
-// holds in live mode too.
+// calendar queue, and every callback — timer or fd readiness — runs on the
+// one loop thread, so the single-threaded execution model protocol code was
+// written against holds in live mode too. Stop() is the only entry from
+// another context (seaweedd's signal handler).
 //
 // The epoch matters for multi-process deployments: Query::injected_at and
 // availability-model timestamps travel on the wire and are compared against
@@ -18,9 +18,9 @@
 // dense and FormatSimTime readable.
 #pragma once
 
+#include <csignal>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <vector>
 
 #include "sim/scheduler.h"
@@ -50,29 +50,19 @@ class EventLoop : public Scheduler {
   void WatchFd(int fd, bool want_write, FdHandler handler);
   void UnwatchFd(int fd);
 
-  // --- Cross-thread ---
-  // Enqueues `fn` to run on the loop thread and wakes the loop. Safe from
-  // any thread and from signal context (the wake is one write(2) to a
-  // self-pipe; the closure enqueue takes a mutex, so from signal context
-  // prefer WakeFromSignal + a flag).
-  void RunInLoop(std::function<void()> fn);
-  // Async-signal-safe wake: interrupts the current poll so the loop re-runs
-  // its stop/flag checks.
-  void WakeFromSignal();
-
-  // Runs until Stop(). Dispatches, in order per iteration: posted closures,
-  // due timers, then fd readiness.
+  // Runs until Stop(). Dispatches, in order per iteration: due timers, then
+  // fd readiness.
   void Run();
   // Runs one poll iteration with at most `max_wait` of blocking (useful for
   // tests and for loops that interleave with other work).
   void RunOnce(SimDuration max_wait);
-  // Thread-safe; the loop exits before the next poll.
+  // Async-signal-safe (a flag store plus one write(2) to a self-pipe that
+  // interrupts the current poll); the loop exits before the next poll.
   void Stop();
 
-  bool stopped() const { return stop_; }
+  bool stopped() const { return stop_ != 0; }
 
  private:
-  void DrainPosted();
   void FireDueTimers();
   int64_t WallNowUs() const;
 
@@ -94,9 +84,7 @@ class EventLoop : public Scheduler {
   std::vector<Watch> watches_;
 
   int wake_pipe_[2] = {-1, -1};
-  std::mutex posted_mu_;
-  std::vector<std::function<void()>> posted_;
-  volatile bool stop_ = false;
+  volatile std::sig_atomic_t stop_ = 0;
 };
 
 }  // namespace seaweed::net

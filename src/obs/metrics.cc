@@ -16,7 +16,7 @@ uint64_t Histogram::ApproxQuantile(double q) const {
   const uint64_t hi = max();
   uint64_t cum = 0;
   for (int b = 0; b < kNumBuckets; ++b) {
-    cum += buckets_[b].load(std::memory_order_relaxed);
+    cum += buckets_[b];
     if (cum >= target) {
       uint64_t ub = BucketUpperBound(b);
       return ub < hi ? ub : hi;
@@ -46,38 +46,30 @@ const T* FindIn(const std::map<std::string, std::unique_ptr<T>>& m,
 }  // namespace
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   return GetOrCreate(&counters_, name);
 }
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   return GetOrCreate(&gauges_, name);
 }
 Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   return GetOrCreate(&histograms_, name);
 }
 Timeseries* MetricsRegistry::GetTimeseries(const std::string& name,
                                            SimDuration bucket_width) {
-  std::lock_guard<std::mutex> lock(mu_);
   return GetOrCreate(&timeseries_, name, bucket_width);
 }
 
 const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   return FindIn(counters_, name);
 }
 const Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   return FindIn(gauges_, name);
 }
 const Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   return FindIn(histograms_, name);
 }
 const Timeseries* MetricsRegistry::FindTimeseries(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   return FindIn(timeseries_, name);
 }
 

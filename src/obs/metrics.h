@@ -7,19 +7,17 @@
 // word — no string lookup, no hashing, no allocation. Handles stay valid for
 // the registry's lifetime (instruments are heap-held behind the name map).
 //
-// Thread model: recording operations are commutative — relaxed atomic adds
-// plus CAS min/max — so concurrent recorders produce the same final values
-// regardless of interleaving. Readers (export, reports) run when no
-// recorder is active, so plain loads observe the settled values.
+// Thread model: every instrument is a plain integer owned by the one thread
+// that runs the Simulator (or seaweedd's EventLoop). Nothing records from a
+// second thread, so there is no synchronization on the hot path.
 #pragma once
 
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -27,61 +25,31 @@
 
 namespace seaweed::obs {
 
-namespace internal {
-
-inline void AtomicMax(std::atomic<int64_t>& target, int64_t v) {
-  int64_t cur = target.load(std::memory_order_relaxed);
-  while (v > cur && !target.compare_exchange_weak(cur, v,
-                                                  std::memory_order_relaxed)) {
-  }
-}
-
-inline void AtomicMaxU(std::atomic<uint64_t>& target, uint64_t v) {
-  uint64_t cur = target.load(std::memory_order_relaxed);
-  while (v > cur && !target.compare_exchange_weak(cur, v,
-                                                  std::memory_order_relaxed)) {
-  }
-}
-
-inline void AtomicMinU(std::atomic<uint64_t>& target, uint64_t v) {
-  uint64_t cur = target.load(std::memory_order_relaxed);
-  while (v < cur && !target.compare_exchange_weak(cur, v,
-                                                  std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace internal
-
 // Monotonic event count.
 class Counter {
  public:
-  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Add(uint64_t n = 1) { value_ += n; }
+  uint64_t value() const { return value_; }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  uint64_t value_ = 0;
 };
 
-// Point-in-time level (queue depths, population counts). Set() is not
-// commutative, so levels must be Set from one thread at a time; Add() is
-// safe from any thread.
+// Point-in-time level (queue depths, population counts).
 class Gauge {
  public:
   void Set(int64_t v) {
-    value_.store(v, std::memory_order_relaxed);
-    internal::AtomicMax(max_, v);
+    value_ = v;
+    max_ = std::max(max_, v);
   }
-  void Add(int64_t d) {
-    const int64_t v = value_.fetch_add(d, std::memory_order_relaxed) + d;
-    internal::AtomicMax(max_, v);
-  }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  // Largest value ever Set (initially 0).
-  int64_t max() const { return max_.load(std::memory_order_relaxed); }
+  void Add(int64_t d) { Set(value_ + d); }
+  int64_t value() const { return value_; }
+  // Largest value ever held (initially 0).
+  int64_t max() const { return max_; }
 
  private:
-  std::atomic<int64_t> value_{0};
-  std::atomic<int64_t> max_{0};
+  int64_t value_ = 0;
+  int64_t max_ = 0;
 };
 
 // Log2-bucketed histogram over non-negative integer samples. Bucket i counts
@@ -99,47 +67,36 @@ class Histogram {
   }
 
   void Record(uint64_t v) {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    internal::AtomicMinU(min_, v);
-    internal::AtomicMaxU(max_, v);
-    buckets_[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
+    ++count_;
+    sum_ += v;
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+    ++buckets_[BucketOf(v)];
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t min() const {
-    return count() ? min_.load(std::memory_order_relaxed) : 0;
-  }
-  uint64_t max() const { return max_.load(std::memory_order_relaxed); }
+  uint64_t count() const { return count_; }
+  uint64_t sum() const { return sum_; }
+  uint64_t min() const { return count_ ? min_ : 0; }
+  uint64_t max() const { return max_; }
   double Mean() const {
     const uint64_t c = count();
     return c ? static_cast<double>(sum()) / static_cast<double>(c) : 0;
   }
   // Upper bound of the first bucket whose cumulative count reaches q*count.
   uint64_t ApproxQuantile(double q) const;
-  // Snapshot of the bucket counts.
-  std::array<uint64_t, kNumBuckets> buckets() const {
-    std::array<uint64_t, kNumBuckets> out;
-    for (int b = 0; b < kNumBuckets; ++b) {
-      out[b] = buckets_[b].load(std::memory_order_relaxed);
-    }
-    return out;
-  }
+  const std::array<uint64_t, kNumBuckets>& buckets() const { return buckets_; }
 
  private:
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> min_{~0ULL};
-  std::atomic<uint64_t> max_{0};
-  std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
+  uint64_t count_ = 0;
+  uint64_t sum_ = 0;
+  uint64_t min_ = ~0ULL;
+  uint64_t max_ = 0;
+  std::array<uint64_t, kNumBuckets> buckets_{};
 };
 
 // Accumulates values into fixed-width simulated-time buckets. The default
 // width is one hour, matching the paper's per-hour bandwidth accounting;
-// bucket i covers [i*width, (i+1)*width). Record takes a spinlock (the
-// bucket vector may grow); buckets()/total() must be read while no
-// recorder is active.
+// bucket i covers [i*width, (i+1)*width).
 class Timeseries {
  public:
   explicit Timeseries(SimDuration bucket_width = kHour)
@@ -147,12 +104,9 @@ class Timeseries {
 
   void Record(SimTime t, uint64_t v) {
     size_t b = BucketIndex(t);
-    while (lock_.test_and_set(std::memory_order_acquire)) {
-    }
     if (b >= buckets_.size()) buckets_.resize(b + 1, 0);
     buckets_[b] += v;
     total_ += v;
-    lock_.clear(std::memory_order_release);
   }
 
   size_t BucketIndex(SimTime t) const {
@@ -169,16 +123,13 @@ class Timeseries {
 
  private:
   SimDuration bucket_width_;
-  std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
   std::vector<uint64_t> buckets_;
   uint64_t total_ = 0;
 };
 
 // Name -> instrument map. Get* registers on first use and returns the same
 // pointer thereafter; names are namespaced by convention ("sim.msgs_sent",
-// "bw.tx.pastry", ...). Separate namespaces per instrument kind. Get/Find
-// are mutex-protected (any thread may lazily resolve instruments); the
-// snapshot views are read while no recorder is active.
+// "bw.tx.pastry", ...). Separate namespaces per instrument kind.
 class MetricsRegistry {
  public:
   Counter* GetCounter(const std::string& name);
@@ -210,7 +161,6 @@ class MetricsRegistry {
   }
 
  private:
-  mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

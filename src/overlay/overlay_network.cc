@@ -69,7 +69,6 @@ void OverlayNetwork::FastHeartbeat(const NodeHandle& from,
   // Minimal heartbeat: kind + src handle.
   constexpr uint32_t kHeartbeatBytes =
       1 + kNodeHandleBytes + kMessageHeaderBytes;
-  heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
   metrics_.heartbeats->Add();
   if (!network_->IsLocal(to.address)) {
     // The receiver's node object lives in another process: no fast path.

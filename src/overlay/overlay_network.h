@@ -12,7 +12,6 @@
 // Bootstrap draws are counter-hashed per (joiner, attempt).
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -83,9 +82,7 @@ class OverlayNetwork {
   std::vector<NodeHandle> OracleLiveNodes() const;
   int CountJoined() const;
 
-  uint64_t heartbeats_sent() const {
-    return heartbeats_sent_.load(std::memory_order_relaxed);
-  }
+  uint64_t heartbeats_sent() const { return metrics_.heartbeats->value(); }
 
   // Heap bytes held by all nodes' overlay routing state (routing tables,
   // leafsets, liveness bookkeeping).
@@ -112,7 +109,6 @@ class OverlayNetwork {
   std::vector<uint32_t> boot_seq_;
   // Live-mode contact points (empty in simulation).
   std::vector<NodeHandle> static_bootstraps_;
-  std::atomic<uint64_t> heartbeats_sent_{0};
 };
 
 }  // namespace seaweed::overlay

@@ -40,17 +40,17 @@ class PastryApp {
   virtual void OnStopping() {}
 
   // A leafset neighbor was detected as failed.
-  virtual void OnNeighborFailed(const NodeHandle& neighbor) {}
+  virtual void OnNeighborFailed(const NodeHandle& /*neighbor*/) {}
 
   // A new neighbor entered the leafset.
-  virtual void OnNeighborAdded(const NodeHandle& neighbor) {}
+  virtual void OnNeighborAdded(const NodeHandle& /*neighbor*/) {}
 
   // A *direct* application send to `dead` was reported undeliverable by the
   // per-hop retransmission timeout. Routed traffic is re-routed by the
   // overlay itself; direct sends are the application's retry to make (this
   // is the drop-notice fast path the Seaweed retry machinery keys off).
-  virtual void OnAppSendFailed(const NodeHandle& dead,
-                               WireMessagePtr payload) {}
+  virtual void OnAppSendFailed(const NodeHandle& /*dead*/,
+                               WireMessagePtr /*payload*/) {}
 };
 
 struct PastryConfig {

@@ -1041,28 +1041,42 @@ void SeaweedNode::ReportTask(ActiveQuery& aq, RangeTask& task) {
 void SeaweedNode::HandlePredictorReport(const SeaweedMessagePtr& msg) {
   auto it = active_.find(msg->query_id);
   if (it == active_.end()) return;
-  ActiveQuery& aq = it->second;
-  auto [task, child] = FindChildRange(aq, "", msg->range.Token());
-  if (child == nullptr) return;
-  // Even a late report (after give-up marked the child done) counts as
-  // contact: it ends the refresh. The data is not merged late — the task
-  // already reported upward — but the result plane carries the actual rows
-  // regardless.
-  child->reported = true;
-  if (!child->done) {
-    child->done = true;
-    // The origin only hands the root's report on; merges are tree work.
-    if (!IsOriginTask(*task)) {
-      metrics_->predictor_merges->Add();
-      obs::SpanId span = tracer_->StartSpan(
-          "predictor_merge", obs::TraceKey(msg->query_id), sim()->Now());
-      tracer_->AddAttr(span, "node", static_cast<int64_t>(index()));
-      tracer_->EndSpan(span, sim()->Now());
-    }
-    task->acc.Merge(msg->predictor);
-    task->view_acc.Merge(msg->result);
+  // A report names only its range, and several of this node's tasks may
+  // hold that range as a child (overlapping ranges from different parents
+  // partition to the same cell): it resolves every one of them.
+  const std::string child_token = msg->range.Token();
+  std::vector<std::string> holders;
+  for (const auto& [token, task] : it->second.tasks) {
+    if (task.children.contains(child_token)) holders.push_back(token);
   }
-  FinishTaskIfDone(aq, *task);
+  for (const std::string& task_token : holders) {
+    // A task's report to itself (the origin is the tree root) may have
+    // ended the query.
+    it = active_.find(msg->query_id);
+    if (it == active_.end()) return;
+    ActiveQuery& aq = it->second;
+    auto [task, child] = FindChildRange(aq, task_token, child_token);
+    if (child == nullptr) continue;
+    // Even a late report (after give-up marked the child done) counts as
+    // contact: it ends the refresh. The data is not merged late — the task
+    // already reported upward — but the result plane carries the actual
+    // rows regardless.
+    child->reported = true;
+    if (!child->done) {
+      child->done = true;
+      // The origin only hands the root's report on; merges are tree work.
+      if (!IsOriginTask(*task)) {
+        metrics_->predictor_merges->Add();
+        obs::SpanId span = tracer_->StartSpan(
+            "predictor_merge", obs::TraceKey(msg->query_id), sim()->Now());
+        tracer_->AddAttr(span, "node", static_cast<int64_t>(index()));
+        tracer_->EndSpan(span, sim()->Now());
+      }
+      task->acc.Merge(msg->predictor);
+      task->view_acc.Merge(msg->result);
+    }
+    FinishTaskIfDone(aq, *task);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 // per-hour load CDFs (Fig 9b, 9c, 10b).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -57,16 +58,11 @@ class BandwidthMeter {
   // category series, so obs_report's tx-sum cross-check stays byte-exact.
   void RecordTxDropped(uint32_t endsystem, SimTime t, uint32_t bytes);
 
-  uint64_t dropped_tx_bytes() const { return tx_dropped_series_->total(); }
-
   // --- Totals ---
   uint64_t total_tx_bytes() const { return total_tx_->value(); }
   uint64_t total_rx_bytes() const { return total_rx_->value(); }
   uint64_t CategoryTxBytes(TrafficCategory cat) const {
     return tx_series_[static_cast<int>(cat)]->total();
-  }
-  uint64_t CategoryRxBytes(TrafficCategory cat) const {
-    return rx_series_[static_cast<int>(cat)]->total();
   }
 
   // --- Timelines (per hour, system-wide, per category, tx bytes) ---
@@ -83,7 +79,7 @@ class BandwidthMeter {
   // 0 if never recorded.
   uint64_t TxInHour(uint32_t endsystem, int64_t hour) const;
   uint64_t RxInHour(uint32_t endsystem, int64_t hour) const;
-  int64_t MaxHour() const { return max_hour_.load(std::memory_order_relaxed); }
+  int64_t MaxHour() const { return max_hour_; }
   int num_endsystems() const {
     return static_cast<int>(per_endsystem_.size());
   }
@@ -104,9 +100,7 @@ class BandwidthMeter {
   };
 
   static void Bump(std::vector<uint32_t>& v, int64_t hour, uint32_t bytes);
-  void NoteHour(int64_t hour) {
-    obs::internal::AtomicMax(max_hour_, hour);
-  }
+  void NoteHour(int64_t hour) { max_hour_ = std::max(max_hour_, hour); }
 
   std::vector<PerEndsystem> per_endsystem_;
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
@@ -116,7 +110,7 @@ class BandwidthMeter {
   obs::Timeseries* tx_dropped_series_;
   obs::Counter* total_tx_;
   obs::Counter* total_rx_;
-  std::atomic<int64_t> max_hour_{-1};
+  int64_t max_hour_ = -1;
 };
 
 // Percentile of a sample vector (p in [0,100]); sorts a copy.

@@ -24,7 +24,6 @@ void FaultInjectingTransport::ChargeDrop(EndsystemIndex from, SimTime now,
   // Sender pays tx for the doomed datagram, same as Network::Send would
   // have; the bytes land in the dedicated dropped series.
   meter()->RecordTxDropped(from, now, msg.WireBytes() + kMessageHeaderBytes);
-  injected_drops_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool FaultInjectingTransport::Send(EndsystemIndex from, EndsystemIndex to,
@@ -53,7 +52,6 @@ bool FaultInjectingTransport::Send(EndsystemIndex from, EndsystemIndex to,
 
   const SimDuration extra = plan_.ExtraDelayAt(now, msg_rng);
   if (extra > 0) {
-    injected_delays_.fetch_add(1, std::memory_order_relaxed);
     delayed_metric_->Add();
     // The message enters the wire `extra` later; tx is charged then (and
     // skipped entirely if the sender crashed in the meantime).

@@ -18,7 +18,6 @@
 // on how many messages other senders sent before it.
 #pragma once
 
-#include <atomic>
 #include <string>
 
 #include "sim/fault_plan.h"
@@ -46,12 +45,10 @@ class FaultInjectingTransport : public TransportDecorator {
 
   // Messages eaten by this layer (bursts + partitions).
   uint64_t injected_drops() const {
-    return injected_drops_.load(std::memory_order_relaxed);
+    return burst_drops_metric_->value() + partition_drops_metric_->value();
   }
   // Messages forwarded late because of a delay/reorder window.
-  uint64_t injected_delays() const {
-    return injected_delays_.load(std::memory_order_relaxed);
-  }
+  uint64_t injected_delays() const { return delayed_metric_->value(); }
 
  private:
   void ChargeDrop(EndsystemIndex from, SimTime now, const WireMessage& msg);
@@ -63,8 +60,6 @@ class FaultInjectingTransport : public TransportDecorator {
   obs::Counter* burst_drops_metric_;
   obs::Counter* partition_drops_metric_;
   obs::Counter* delayed_metric_;
-  std::atomic<uint64_t> injected_drops_{0};
-  std::atomic<uint64_t> injected_delays_{0};
 };
 
 }  // namespace seaweed

@@ -54,10 +54,9 @@ void Network::Deliver(EndsystemIndex from, EndsystemIndex to,
                       TrafficCategory cat, uint32_t wire_bytes,
                       WireMessagePtr msg, std::vector<uint8_t> encoded) {
   if (encode_in_flight_) {
-    inflight_bytes_.fetch_sub(encoded.capacity(), std::memory_order_relaxed);
+    inflight_bytes_ -= encoded.capacity();
   }
   if (!up_[to]) {
-    messages_lost_.fetch_add(1, std::memory_order_relaxed);
     msgs_lost_metric_->Add();
     if (drop_handler_ && up_[from]) {
       // Per-hop failure detection: the sender's retransmission timeout
@@ -73,7 +72,6 @@ void Network::Deliver(EndsystemIndex from, EndsystemIndex to,
     return;
   }
   meter_->RecordRx(to, cat, sim_->Now(), wire_bytes);
-  messages_delivered_.fetch_add(1, std::memory_order_relaxed);
   msgs_delivered_metric_->Add();
   if (msg == nullptr) msg = DecodeInFlight(encoded);
   Dispatch(from, to, std::move(msg));
@@ -85,7 +83,6 @@ bool Network::Send(EndsystemIndex from, EndsystemIndex to,
   if (!up_[from]) return false;
   const uint32_t wire_bytes = msg->WireBytes() + kMessageHeaderBytes;
   meter_->RecordTx(from, cat, sim_->Now(), wire_bytes);
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
   msgs_sent_metric_->Add();
 
   if (loss_rate_ > 0) {
@@ -93,7 +90,6 @@ bool Network::Send(EndsystemIndex from, EndsystemIndex to,
     // global draw order.
     Rng msg_rng(MixSeed(loss_seed_, from, tx_seq_[from]++));
     if (msg_rng.Bernoulli(loss_rate_)) {
-      messages_lost_.fetch_add(1, std::memory_order_relaxed);
       msgs_lost_metric_->Add();
       return true;  // sent, but the network ate it
     }
@@ -104,7 +100,7 @@ bool Network::Send(EndsystemIndex from, EndsystemIndex to,
     Writer w;
     msg->Encode(w);
     std::vector<uint8_t> encoded = w.bytes();
-    inflight_bytes_.fetch_add(encoded.capacity(), std::memory_order_relaxed);
+    inflight_bytes_ += encoded.capacity();
     sim_->After(delay, [this, from, to, cat, wire_bytes,
                         encoded = std::move(encoded)]() mutable {
       Deliver(from, to, cat, wire_bytes, nullptr, std::move(encoded));

@@ -13,7 +13,6 @@
 // Loss draws use counter-hash seeds per (sender, sequence).
 #pragma once
 
-#include <atomic>
 #include <vector>
 
 #include "common/rng.h"
@@ -46,18 +45,17 @@ class Network : public Transport {
   // Stores in-flight messages as encoded bytes instead of live objects.
   void SetEncodeInFlight(bool on) { encode_in_flight_ = on; }
   // Bytes currently held for encoded in-flight messages.
-  uint64_t inflight_bytes() const {
-    return inflight_bytes_.load(std::memory_order_relaxed);
-  }
+  uint64_t inflight_bytes() const { return inflight_bytes_; }
 
+  // Read the obs counters, which count every Network in the same domain.
   uint64_t messages_sent() const override {
-    return messages_sent_.load(std::memory_order_relaxed);
+    return msgs_sent_metric_->value();
   }
   uint64_t messages_delivered() const override {
-    return messages_delivered_.load(std::memory_order_relaxed);
+    return msgs_delivered_metric_->value();
   }
   uint64_t messages_lost() const override {
-    return messages_lost_.load(std::memory_order_relaxed);
+    return msgs_lost_metric_->value();
   }
 
   const Topology& topology() const override { return *topology_; }
@@ -88,10 +86,7 @@ class Network : public Transport {
   SimDuration drop_notice_delay_ = kSecond;
   std::vector<uint8_t> up_;
   bool encode_in_flight_ = false;
-  std::atomic<uint64_t> inflight_bytes_{0};
-  std::atomic<uint64_t> messages_sent_{0};
-  std::atomic<uint64_t> messages_delivered_{0};
-  std::atomic<uint64_t> messages_lost_{0};
+  uint64_t inflight_bytes_ = 0;
 };
 
 }  // namespace seaweed

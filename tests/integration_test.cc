@@ -210,6 +210,55 @@ TEST(IntegrationTest, OriginThatIsTheTreeRootGetsOnePredictor) {
   EXPECT_EQ(cap.latest()->endsystems, n);
 }
 
+// Two of one node's tasks can hold the same child range: nested ranges from
+// different parents both contain a leafset neighbour's whole cell. The
+// neighbour's one report names only that range, and must resolve the child
+// in both tasks; a child left unresolved is reissued on its timer.
+TEST(IntegrationTest, PredictorReportResolvesEveryTaskHoldingItsRange) {
+  const int n = 40;
+  SeaweedCluster cluster(ToyConfig(n), MakeToyData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(5 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+
+  SeaweedNode* node = cluster.seaweed_node(0);
+  const overlay::Leafset& ls = cluster.pastry_node(0)->leafset();
+  ASSERT_GE(ls.cw().size(), 2u);
+  ASSERT_GE(ls.ccw().size(), 1u);
+  const NodeId& ccw = ls.ccw()[0].id;
+  const NodeId& cw2 = ls.cw()[1].id;
+  // Both contain the nearest clockwise neighbour's whole cell, which lies
+  // between this node and its second clockwise neighbour.
+  const IdRange inner{node->id(), cw2, false};
+  const IdRange outer{ccw, cw2, false};
+  // The tasks report to a node that does not hold the query.
+  int parent = 1;
+  while (parent < n && ls.Contains(cluster.seaweed_node(parent)->id())) {
+    ++parent;
+  }
+  ASSERT_LT(parent, n);
+  const overlay::NodeHandle parent_handle =
+      cluster.pastry_node(parent)->handle();
+
+  auto query = Query::Create("SELECT COUNT(*) FROM Flow WHERE port = 80",
+                             cluster.sim().Now(), parent_handle, kHour,
+                             "shadowed-child");
+  ASSERT_TRUE(query.ok()) << query.status();
+  for (const IdRange& range : {inner, outer}) {
+    auto msg = std::make_shared<SeaweedMessage>();
+    msg->kind = SeaweedMessage::Kind::kBroadcast;
+    msg->queries.push_back(*query);
+    msg->query_id = query->query_id;
+    msg->range = range;
+    msg->parent = parent_handle;
+    node->OnAppMessage(parent_handle, /*routed=*/false, query->query_id, msg);
+  }
+  cluster.sim().RunUntil(cluster.sim().Now() + kMinute);
+
+  EXPECT_EQ(
+      cluster.obs().metrics.GetCounter("seaweed.dissem_reissues")->value(), 0u);
+}
+
 TEST(IntegrationTest, DownEndsystemsPredictedNotCountedYet) {
   const int n = 40;
   const int down_count = 8;

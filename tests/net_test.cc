@@ -1,8 +1,8 @@
-// Live deployment path tests: EventLoop timers and cross-thread posting,
-// ShardMap parsing, SocketTransport datagram exchange and its hostility to
-// malformed input, the canonical result formatter, and an in-process
-// seaweedd (LiveCluster + QueryService) driven through real TCP — including
-// the malformed-JSON fuzz cases the control port must shrug off.
+// Live deployment path tests: EventLoop timers, ShardMap parsing,
+// SocketTransport datagram exchange and its hostility to malformed input,
+// the canonical result formatter, and an in-process seaweedd (LiveCluster +
+// QueryService) driven through real TCP — including the malformed-JSON fuzz
+// cases the control port must shrug off.
 //
 // Unlike the simulation tests these run on wall time, so every wait is a
 // bounded pump loop, sized generously for CI but exiting as soon as the
@@ -15,7 +15,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,20 +118,6 @@ TEST(EventLoopTest, EpochAnchorsNow) {
   // Not directly comparable to wall time from here; assert the relative
   // form instead: a loop anchored "now" starts near zero.
   EXPECT_LT(anchored.Now(), kMinute);
-}
-
-TEST(EventLoopTest, RunInLoopFromAnotherThread) {
-  EventLoop loop;
-  std::atomic<bool> ran{false};
-  std::thread poster([&] {
-    loop.RunInLoop([&] {
-      ran = true;
-      loop.Stop();
-    });
-  });
-  loop.Run();
-  poster.join();
-  EXPECT_TRUE(ran);
 }
 
 TEST(ShardMapTest, ParsesPeerConfig) {

@@ -39,6 +39,18 @@ TEST(MetricsRegistryTest, GaugeTracksMax) {
   g->Add(1);
   EXPECT_EQ(g->value(), 4);
   EXPECT_EQ(g->max(), 7);
+  g->Add(5);  // an Add past the old max raises it
+  EXPECT_EQ(g->value(), 9);
+  EXPECT_EQ(g->max(), 9);
+}
+
+TEST(HistogramTest, EmptyReadsZero) {
+  Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.min(), 0u);
+  EXPECT_EQ(h.max(), 0u);
+  EXPECT_EQ(h.ApproxQuantile(0.5), 0u);
+  EXPECT_EQ(h.ApproxQuantile(1.0), 0u);
 }
 
 TEST(HistogramTest, CountSumMinMaxAndBuckets) {

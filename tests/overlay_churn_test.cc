@@ -15,7 +15,7 @@ struct ChurnFixture {
                         FaultPlan plan = {})
       : topo(TopologyConfig{}, n),
         meter(n),
-        net(&sim, &topo, &meter, loss, seed),
+        net(&sim, &topo, &meter, loss, seed, &obs),
         faulty(MakeFaulty(&net, std::move(plan), n, seed)),
         overlay(&sim, faulty ? static_cast<Transport*>(faulty.get()) : &net,
                 PastryConfig{}, seed),
@@ -60,6 +60,7 @@ struct ChurnFixture {
   }
 
   Simulator sim;
+  obs::Observability obs;  // own domain for the per-domain counters
   Topology topo;
   BandwidthMeter meter;
   Network net;

@@ -146,7 +146,7 @@ struct OverlayFixture {
   explicit OverlayFixture(int n, uint64_t seed = 1, double loss = 0.0)
       : topo(TopologyConfig{}, n),
         meter(n),
-        net(&sim, &topo, &meter, loss, seed),
+        net(&sim, &topo, &meter, loss, seed, &obs),
         overlay(&sim, &net, PastryConfig{}, seed) {
     Rng rng(seed);
     std::vector<NodeId> ids;
@@ -162,6 +162,7 @@ struct OverlayFixture {
   }
 
   Simulator sim;
+  obs::Observability obs;  // own domain for the per-domain counters
   Topology topo;
   BandwidthMeter meter;
   Network net;

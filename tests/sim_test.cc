@@ -202,10 +202,13 @@ class NetworkTest : public ::testing::Test {
   NetworkTest()
       : topo_(TopologyConfig{}, 10),
         meter_(10),
-        net_(&sim_, &topo_, &meter_, 0.0, 1) {
+        net_(&sim_, &topo_, &meter_, 0.0, 1, &obs_) {
     for (EndsystemIndex e = 0; e < 10; ++e) net_.SetUp(e, true);
   }
   Simulator sim_;
+  // Own domain: the message counters are per domain, and the fallback one
+  // counts every Network built without a domain in this process.
+  obs::Observability obs_;
   Topology topo_;
   BandwidthMeter meter_;
   Network net_;
