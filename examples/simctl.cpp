@@ -1,6 +1,6 @@
-// seaweed_sim: configurable simulation driver.
+// simctl: configurable simulation driver.
 //
-//   ./build/examples/seaweed_sim [options]
+//   ./build/examples/simctl [options]
 //     --endsystems N        population size               (default 200)
 //     --hours H             simulated duration            (default 24)
 //     --trace farsite|gnutella  availability model        (default farsite)
@@ -11,14 +11,13 @@
 //     --continuous MIN      make queries continuous with this period
 //     --seed S              master seed                   (default 1)
 //     --transport SPEC      transport decorator stack, outermost first:
-//                           e.g. "serializing", "faulty:plan.json",
-//                           or "serializing,faulty:plan.json"
+//                           e.g. "serializing" (round-trip every message
+//                           through the wire codec in flight; stdout is
+//                           bit-identical to the in-memory transport),
+//                           "faulty:plan.json", or
+//                           "serializing,faulty:plan.json"
 //     --max-active-queries N  admission limit on concurrently active
 //                           origin queries (0 = unbounded)
-//     --serializing-transport  shorthand for --transport serializing:
-//                           round-trip every message through the wire
-//                           codec in flight (debug mode; stdout is
-//                           bit-identical to the in-memory transport)
 //     --encode-in-flight    store queued messages as wire bytes (memory
 //                           compaction for large populations)
 //     --obs-dump FILE       write metrics + trace spans as JSONL at exit
@@ -26,7 +25,7 @@
 // Prints the completeness predictor, incremental results, and the final
 // bandwidth accounting. Example:
 //
-//   ./build/examples/seaweed_sim --endsystems 300 --hours 12 \
+//   ./build/examples/simctl --endsystems 300 --hours 12 \
 //       --query "SELECT COUNT(*) FROM Flow WHERE Bytes > 20000"
 #include <cstdio>
 #include <cstring>
@@ -90,10 +89,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->seed = static_cast<uint64_t>(std::atoll(v));
     } else if (flag == "--transport" && (v = need_value())) {
       args->transport = v;
-    } else if (flag == "--serializing-transport") {
-      args->transport = args->transport.empty()
-                            ? "serializing"
-                            : "serializing," + args->transport;
     } else if (flag == "--max-active-queries" && (v = need_value())) {
       args->max_active_queries = std::atoi(v);
     } else if (flag == "--encode-in-flight") {

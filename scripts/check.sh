@@ -5,7 +5,8 @@
 # replays. Each differential also requires that its runs exercised what it
 # is about: re-propagated vertices (seaweed.vertex_repropagations > 0 in
 # their obs dumps) and, under the heavier chaos plan, leaf and vertex
-# give-ups (seaweed.leaf_giveups, seaweed.vertex_giveups).
+# give-ups (seaweed.leaf_giveups, seaweed.vertex_giveups); and that no
+# dissemination range was cut short (seaweed.dissem_guard_trips == 0).
 #
 # Usage: scripts/check.sh [extra ctest args...]
 #
@@ -44,6 +45,19 @@ require_counter() {
   echo "$name = $value"
 }
 
+# Fails unless the obs dump $1 holds a counter $2 equal to zero: an event
+# that must never happen in a simulated run.
+require_zero_counter() {
+  local dump="$1" name="$2" value
+  value=$(grep -o "\"name\":\"$name\",\"value\":[0-9]*" "$dump" |
+          grep -o '[0-9]*$' || true)
+  if [[ "$value" != "0" ]]; then
+    echo "FAIL: counter $name is ${value:-missing} in $dump (want 0)" >&2
+    exit 1
+  fi
+  echo "$name = 0"
+}
+
 # Runs one simulation twice within the SAME build tree — once over the
 # in-memory transport, once with every message encoded to bytes and decoded
 # back in flight — and asserts bit-identical stdout and obs dumps. Comparing
@@ -69,9 +83,11 @@ differential() {
     exit 1
   fi
   echo "outputs and obs dumps bit-identical"
-  # The batched re-propagation timers must have fired on both sides.
+  # The periodic refresh must have re-propagated vertices on both sides.
   require_counter "$build/sim_mem.jsonl" seaweed.vertex_repropagations
   require_counter "$build/sim_ser.jsonl" seaweed.vertex_repropagations
+  require_zero_counter "$build/sim_mem.jsonl" seaweed.dissem_guard_trips
+  require_zero_counter "$build/sim_ser.jsonl" seaweed.dissem_guard_trips
 }
 
 # Two fault plans for chaos_replay. CHAOS_PLAN mixes a 20% loss burst,
@@ -97,7 +113,7 @@ GIVEUP_PLAN='{
 # (wire codec + fault injection from the JSON plan $3, named $2) and asserts
 # bit-identical stdout and obs dumps: the deterministic-replay guarantee, end
 # to end through simctl. Every counter named after the plan must be > 0 in both
-# runs' dumps.
+# runs' dumps, and seaweed.dissem_guard_trips 0.
 chaos_replay() {
   local build="$1" name="$2" plan_json="$3"
   shift 3
@@ -127,6 +143,8 @@ chaos_replay() {
     require_counter "$build/sim_${name}_a.jsonl" "$counter"
     require_counter "$build/sim_${name}_b.jsonl" "$counter"
   done
+  require_zero_counter "$build/sim_${name}_a.jsonl" seaweed.dissem_guard_trips
+  require_zero_counter "$build/sim_${name}_b.jsonl" seaweed.dissem_guard_trips
 }
 
 # Sketch smoke: the documented accuracy floors (HLL relative error <= 2%

@@ -22,6 +22,8 @@ class Writer {
   const std::vector<uint8_t>& bytes() const { return buf_; }
   std::vector<uint8_t> TakeBytes() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
+  // Drops everything written after the first `n` bytes.
+  void Truncate(size_t n) { buf_.resize(n); }
 
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU16(uint16_t v) { PutLittleEndian(&v, 2); }

@@ -64,10 +64,6 @@ SeaweedMetrics::SeaweedMetrics(obs::MetricsRegistry* reg)
       vertex_updates(reg->GetCounter("seaweed.vertex_updates")),
       vertex_handovers(reg->GetCounter("seaweed.vertex_handovers")),
       vertex_repropagations(reg->GetCounter("seaweed.vertex_repropagations")),
-      repropagation_timers(reg->GetCounter("seaweed.repropagation_timers")),
-      repropagation_rounds(reg->GetCounter("seaweed.repropagation_rounds")),
-      vertex_updates_outside_pass(reg->GetCounter(
-          "seaweed.vertex_updates_outside_pass")),
       vertex_fn_invocations(reg->GetCounter("seaweed.vertex_fn_invocations")),
       fold_passes(reg->GetCounter("seaweed.fold_passes")),
       fold_vertices(reg->GetCounter("seaweed.fold_vertices")),
@@ -82,6 +78,7 @@ SeaweedMetrics::SeaweedMetrics(obs::MetricsRegistry* reg)
       dissem_fastpath_reissues(reg->GetCounter(
           "seaweed.dissem_fastpath_reissues")),
       dissem_refreshes(reg->GetCounter("seaweed.dissem_refreshes")),
+      dissem_guard_trips(reg->GetCounter("seaweed.dissem_guard_trips")),
       result_reroutes(reg->GetCounter("seaweed.result_reroutes")),
       queries_shed(reg->GetCounter("seaweed.queries_shed")),
       sketch_results(reg->GetCounter("seaweed.sketch.results")),
@@ -557,16 +554,19 @@ void SeaweedNode::EnsureQueryActive(const Query& query) {
   auto it = active_.find(query.query_id);
   if (it != active_.end()) {
     if (it->second.query.sql.empty() && !query.sql.empty()) {
+      // A vertex-only entry learns its query: from now on the refresh also
+      // covers our leaf, on the query's own period.
       it->second.query = query;
       ScheduleLocalExecution(query.query_id);
+      ArmRefresh(it->second);
     }
     return;
   }
-  ActiveQuery aq;
+  ActiveQuery& aq = active_[query.query_id];
   aq.query = query;
-  active_[query.query_id] = std::move(aq);
   if (!query.sql.empty() && !query.IsViewSnapshot()) {
     ScheduleLocalExecution(query.query_id);
+    ArmRefresh(aq);
   }
 }
 
@@ -727,6 +727,7 @@ void SeaweedNode::ProcessRange(ActiveQuery& aq, const IdRange& range,
     if (r.IsEmpty()) continue;
     if (++guard > 4 * kIdBits) {
       SEAWEED_LOG(kWarn) << "range subdivision guard tripped";
+      metrics_->dissem_guard_trips->Add();
       break;
     }
 
@@ -1124,26 +1125,6 @@ void SeaweedNode::SubmitLeafResult(const NodeId& query_id) {
   } else {
     SubmitToParent(aq, vertex, id(), aq.leaf, *aq.leaf_result);
   }
-  // Periodic refresh keeps vertex replica groups populated across primary
-  // churn for the lifetime of the query.
-  uint64_t gen = generation_;
-  SimDuration refresh = aq.query.continuous
-                            ? aq.query.reexec_period
-                            : config_.result_refresh_period;
-  sim()->After(refresh, [this, gen, query_id] {
-    if (gen != generation_) return;
-    auto it2 = active_.find(query_id);
-    if (it2 == active_.end() || it2->second.query.ExpiredAt(sim()->Now())) {
-      return;
-    }
-    if (it2->second.query.continuous) {
-      // Continuous mode: recompute the local result; the new version
-      // replaces the old one in the vertex tree.
-      ExecuteAndSubmit(query_id);
-      return;
-    }
-    SubmitLeafResult(query_id);
-  });
 }
 
 void SeaweedNode::SubmitToParent(ActiveQuery& aq, const NodeId& parent,
@@ -1272,8 +1253,43 @@ SeaweedNode::ActiveQuery& SeaweedNode::AdoptQuery(const NodeId& query_id) {
   if (adopted) {
     it->second.query.query_id = query_id;
     it->second.query.injected_at = sim()->Now();
+    ArmRefresh(it->second);
   }
   return it->second;
+}
+
+void SeaweedNode::ArmRefresh(ActiveQuery& aq) {
+  aq.refresh_serial = ++refresh_serial_;
+  const SimDuration period = aq.query.continuous
+                                 ? aq.query.reexec_period
+                                 : config_.result_refresh_period;
+  sim()->After(period, [this, gen = generation_, qid = aq.query.query_id,
+                        serial = aq.refresh_serial] {
+    if (gen != generation_) return;
+    RefreshQuery(qid, serial);
+  });
+}
+
+void SeaweedNode::RefreshQuery(const NodeId& query_id, uint64_t serial) {
+  auto it = active_.find(query_id);
+  if (it == active_.end() || it->second.refresh_serial != serial) return;
+  ActiveQuery& aq = it->second;
+  if (aq.query.ExpiredAt(sim()->Now())) return;
+  ArmRefresh(aq);
+  if (aq.query.continuous) {
+    // Recompute the local result; the new version replaces the old one in
+    // the vertex tree.
+    ExecuteAndSubmit(query_id);
+  } else {
+    SubmitLeafResult(query_id);
+  }
+  // Only the current primary speaks for a vertex; a backup that took one
+  // over is refreshed like any other.
+  for (auto& [vertex_id, state] : aq.vertices) {
+    if (state.children.empty() || !IsLikelyRootFor(vertex_id)) continue;
+    metrics_->vertex_repropagations->Add();
+    MarkVertexDirty(aq, vertex_id, state);
+  }
 }
 
 void SeaweedNode::ApplyChild(ActiveQuery& aq, const NodeId& vertex_id,
@@ -1293,16 +1309,11 @@ void SeaweedNode::ApplyChild(ActiveQuery& aq, const NodeId& vertex_id,
 void SeaweedNode::OnVertexUpdated(ActiveQuery& aq, const NodeId& vertex_id,
                                   VertexState& state,
                                   const ChildEntry& changed) {
-  if (repropagation_batch_ == nullptr ||
-      repropagation_batch_->query_id != aq.query.query_id) {
-    metrics_->vertex_updates_outside_pass->Add();
-  }
   // Inside a fold pass the replication joins the pass's per-backup
   // messages; a submit outside one replicates before it returns.
   ReplicateVertex(aq, vertex_id, state, changed);
   if (!aq.folding) FlushReplicates(aq);
   MarkVertexDirty(aq, vertex_id, state);
-  ScheduleVertexRepropagation(aq, vertex_id, state);
 }
 
 void SeaweedNode::MarkVertexDirty(ActiveQuery& aq, const NodeId& vertex_id,
@@ -1330,8 +1341,6 @@ void SeaweedNode::RunFoldPass(const NodeId& query_id) {
   if (aq.fold_queue.empty()) return;
   metrics_->fold_passes->Add();
   aq.folding = true;
-  RepropagationBatch batch{query_id, {}};
-  repropagation_batch_ = &batch;
   VertexState* root = nullptr;
   while (!aq.fold_queue.empty()) {
     std::pop_heap(aq.fold_queue.begin(), aq.fold_queue.end(),
@@ -1348,8 +1357,6 @@ void SeaweedNode::RunFoldPass(const NodeId& query_id) {
     }
     PropagateVertex(aq, vertex, state);
   }
-  repropagation_batch_ = nullptr;
-  if (!batch.vertices.empty()) ArmRepropagation(std::move(batch));
   aq.folding = false;
   FlushReplicates(aq);
   // Last, because delivery may run the origin's observer, which can end the
@@ -1423,58 +1430,6 @@ void SeaweedNode::FlushReplicates(ActiveQuery& aq) {
     SendSeaweed(out.backup, out.msg, TrafficCategory::kResult);
   }
   aq.replicates.clear();
-}
-
-void SeaweedNode::ScheduleVertexRepropagation(ActiveQuery& aq,
-                                              const NodeId& vertex_id,
-                                              VertexState& state) {
-  if (state.repropagate_scheduled) return;
-  state.repropagate_scheduled = true;
-  if (repropagation_batch_ != nullptr &&
-      repropagation_batch_->query_id == aq.query.query_id) {
-    repropagation_batch_->vertices.push_back(vertex_id);
-    return;
-  }
-  ArmRepropagation({aq.query.query_id, {vertex_id}});
-}
-
-void SeaweedNode::ArmRepropagation(RepropagationBatch batch) {
-  // Every timer a pass or round collects shares its due time, and nothing
-  // else a pass runs is due then, so one timer firing them in request order
-  // runs exactly what one timer per vertex would have run.
-  metrics_->repropagation_timers->Add();
-  uint64_t gen = generation_;
-  sim()->After(config_.result_refresh_period,
-               [this, gen, batch = std::move(batch)] {
-    if (gen != generation_) return;
-    RunRepropagationRound(batch);
-  });
-}
-
-void SeaweedNode::RunRepropagationRound(const RepropagationBatch& batch) {
-  metrics_->repropagation_rounds->Add();
-  const NodeId& query_id = batch.query_id;
-  RepropagationBatch next{query_id, {}};
-  repropagation_batch_ = &next;
-  for (const NodeId& vertex_id : batch.vertices) {
-    auto it = active_.find(query_id);
-    if (it == active_.end()) continue;
-    auto vit = it->second.vertices.find(vertex_id);
-    if (vit == it->second.vertices.end()) continue;
-    vit->second.repropagate_scheduled = false;
-    // Only the current primary speaks for the vertex.
-    if (IsLikelyRootFor(vertex_id)) {
-      metrics_->vertex_repropagations->Add();
-      PropagateVertex(it->second, vertex_id, vit->second);
-      // Root delivery may have ended the query.
-      it = active_.find(query_id);
-      if (it == active_.end()) continue;
-    }
-    ScheduleVertexRepropagation(it->second, vertex_id,
-                                it->second.vertices[vertex_id]);
-  }
-  repropagation_batch_ = nullptr;
-  if (!next.vertices.empty()) ArmRepropagation(std::move(next));
 }
 
 void SeaweedNode::PropagateVertex(ActiveQuery& aq, const NodeId& vertex_id,

@@ -112,11 +112,6 @@ struct SeaweedMetrics {
   obs::Counter* vertex_updates;
   obs::Counter* vertex_handovers;
   obs::Counter* vertex_repropagations;
-  // Re-propagation timers armed and rounds run, and vertex updates applied
-  // outside a fold pass or round (each may arm a timer of its own).
-  obs::Counter* repropagation_timers;
-  obs::Counter* repropagation_rounds;
-  obs::Counter* vertex_updates_outside_pass;
   obs::Counter* vertex_fn_invocations;
   obs::Counter* fold_passes;
   obs::Counter* fold_vertices;
@@ -130,6 +125,9 @@ struct SeaweedMetrics {
   obs::Counter* duplicates_suppressed;
   obs::Counter* dissem_fastpath_reissues;
   obs::Counter* dissem_refreshes;
+  // ProcessRange gave up subdividing a range (its WARN), leaving the rest
+  // of the range out of the task's predictor.
+  obs::Counter* dissem_guard_trips;
   obs::Counter* result_reroutes;
   obs::Counter* queries_shed;
   // Approximate-aggregate traffic: leaf submissions carrying sketch
@@ -267,10 +265,9 @@ class SeaweedNode : public overlay::PastryApp {
     // sync before deltas (a delta-only backup would reconstruct a partial
     // subtree after primary failover).
     std::vector<NodeId> synced_backups;
-    // Our submits to our parent. The flags below fill its tail padding.
+    // Our submits to our parent. The flag below fills its tail padding.
     [[no_unique_address]] SubmitState submit;
-    bool dirty = false;           // queued for the query's next fold pass
-    bool repropagate_scheduled = false;
+    bool dirty = false;  // queued for the query's next fold pass
   };
   using VertexTable = std::unordered_map<NodeId, VertexState, NodeIdHash>;
 
@@ -282,19 +279,13 @@ class SeaweedNode : public overlay::PastryApp {
     std::unordered_map<NodeId, size_t, NodeIdHash> index;
   };
 
-  // The vertices a fold pass or re-propagation round asks to re-propagate,
-  // in request order; the pass arms one timer for all of them.
-  struct RepropagationBatch {
-    NodeId query_id;
-    std::vector<NodeId> vertices;
-  };
-
   struct ActiveQuery {
     Query query;
     std::map<std::string, RangeTask> tasks;
-    // Nothing iterates this table in order, so hashing cannot leak into
-    // output; entries are node-based, so a held VertexState& survives the
-    // insertion of its parent.
+    // Only RefreshQuery iterates this table, to mark vertices for a fold
+    // pass, which pops them in (depth, id) order, so hashing cannot leak
+    // into output; entries are node-based, so a held VertexState& survives
+    // the insertion of its parent.
     VertexTable vertices;
     // Heap bytes of every vertex's children and backup vectors, kept as
     // they grow so the memory gauges need not walk the table.
@@ -311,6 +302,9 @@ class SeaweedNode : public overlay::PastryApp {
     ResultPtr leaf_result;
     SubmitState leaf;
     bool executed = false;
+    // Names the entry's one refresh timer (see ArmRefresh); a firing timer
+    // with another serial was replaced, or outlived the entry it served.
+    uint64_t refresh_serial = 0;
     // Origin-side state (only on the injecting endsystem).
     bool is_origin = false;
     QueryObserver observer;
@@ -391,6 +385,14 @@ class SeaweedNode : public overlay::PastryApp {
   void EnsureQueryActive(const Query& query);
   // The query's entry, adopted vertex-only when we never saw its broadcast.
   ActiveQuery& AdoptQuery(const NodeId& query_id);
+  // Soft-state refresh (§3.4): each entry keeps one timer, due every
+  // result_refresh_period (a continuous query's reexec_period); arming
+  // again replaces it. A tick resubmits our leaf result (a continuous query
+  // re-executes) and marks dirty every vertex we are primary for, so one
+  // fold pass re-propagates them all. That repairs aggregates lost to a
+  // primary failover anywhere above us within one period.
+  void ArmRefresh(ActiveQuery& aq);
+  void RefreshQuery(const NodeId& query_id, uint64_t serial);
   void ScheduleLocalExecution(const NodeId& query_id);
   void ExecuteAndSubmit(const NodeId& query_id);
   NodeId LeafParentVertex(const Query& query) const;
@@ -417,8 +419,8 @@ class SeaweedNode : public overlay::PastryApp {
   void ApplyChild(ActiveQuery& aq, const NodeId& vertex_id,
                   VertexState& state, const NodeId& child, uint64_t version,
                   ResultPtr result);
-  // After a child entry changed: replicates it, queues the vertex for the
-  // fold pass and schedules its periodic re-propagation.
+  // After a child entry changed: replicates it and queues the vertex for
+  // the fold pass.
   void OnVertexUpdated(ActiveQuery& aq, const NodeId& vertex_id,
                        VertexState& state, const ChildEntry& changed);
   // Queues the vertex for the query's fold pass, arming the pass timer
@@ -434,16 +436,6 @@ class SeaweedNode : public overlay::PastryApp {
   // which can erase `aq`.
   void PropagateVertex(ActiveQuery& aq, const NodeId& vertex_id,
                        VertexState& state);
-  // Periodic upward re-propagation: repairs aggregates lost to vertex
-  // primary failover anywhere above us within one refresh period. Inside a
-  // fold pass or re-propagation round the vertex joins the open batch;
-  // otherwise it gets a timer of its own.
-  void ScheduleVertexRepropagation(ActiveQuery& aq, const NodeId& vertex_id,
-                                   VertexState& state);
-  void ArmRepropagation(RepropagationBatch batch);
-  // What each vertex's own timer would do, vertex by vertex in batch order:
-  // propagate if still primary, then re-arm (into the round's own batch).
-  void RunRepropagationRound(const RepropagationBatch& batch);
   // Adds the vertex's changed child (or, for a backup not yet synced, its
   // full state) to each backup's pending kVertexReplicate.
   void ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
@@ -499,8 +491,8 @@ class SeaweedNode : public overlay::PastryApp {
   // leafsets disagree about vertex ownership mid-repair.
   std::map<std::tuple<NodeId, NodeId, NodeId, uint64_t>, SimTime>
       recent_handovers_;
-  // The fold pass or re-propagation round now running, if any.
-  RepropagationBatch* repropagation_batch_ = nullptr;
+  // The last refresh serial handed out (see ActiveQuery::refresh_serial).
+  uint64_t refresh_serial_ = 0;
   // ReplicateVertex's scratch: the closest backups, as (distance, member).
   std::vector<std::pair<NodeId, const overlay::NodeHandle*>> closest_scratch_;
   uint64_t generation_ = 0;

@@ -1,6 +1,7 @@
 #include "seaweed/wire.h"
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -56,8 +57,27 @@ void SeaweedMessage::EncodeBody(Writer& w) const {
       break;
     case Kind::kVertexReplicate: {
       // Result reference per entry: 0 = the result follows inline, k > 0 =
-      // the k-th result inlined earlier in this message.
-      std::unordered_map<const db::AggregateResult*, uint64_t> sent;
+      // the k-th result inlined earlier in this message. References key on
+      // a result's bytes, so the layout depends only on the values (a
+      // sender's entries may or may not share pointers: a decoded message
+      // never aliases another's). A result is inlined, and taken back for a
+      // reference when equal bytes were inlined before; `by_ptr` skips
+      // encoding a pointer seen before.
+      using Span = std::pair<size_t, size_t>;  // (offset, length) in `w`
+      auto view = [&w](const Span& s) {
+        return std::string_view(
+            reinterpret_cast<const char*>(w.bytes().data()) + s.first,
+            s.second);
+      };
+      auto hash = [&view](const Span& s) {
+        return std::hash<std::string_view>()(view(s));
+      };
+      auto equal = [&view](const Span& a, const Span& b) {
+        return view(a) == view(b);
+      };
+      std::unordered_map<Span, uint64_t, decltype(hash), decltype(equal)>
+          by_bytes(0, hash, equal);
+      std::unordered_map<const db::AggregateResult*, uint64_t> by_ptr;
       w.PutNodeId(query_id);
       w.PutVarint(replicas.size());
       for (const VertexReplica& v : replicas) {
@@ -66,9 +86,21 @@ void SeaweedMessage::EncodeBody(Writer& w) const {
         for (const ReplicaEntry& e : v.entries) {
           w.PutNodeId(e.child);
           w.PutVarint(e.version);
-          auto [it, inserted] = sent.emplace(e.result.get(), sent.size() + 1);
-          w.PutVarint(inserted ? 0 : it->second);
-          if (inserted) e.result->Encode(w);
+          auto [ptr, fresh_ptr] = by_ptr.emplace(e.result.get(), 0);
+          if (!fresh_ptr) {
+            w.PutVarint(ptr->second);
+            continue;
+          }
+          const size_t ref_at = w.size();
+          w.PutVarint(0);
+          e.result->Encode(w);
+          auto [ref, fresh] = by_bytes.emplace(
+              Span{ref_at + 1, w.size() - ref_at - 1}, by_bytes.size() + 1);
+          ptr->second = ref->second;
+          if (!fresh) {
+            w.Truncate(ref_at);
+            w.PutVarint(ref->second);
+          }
         }
       }
       break;

@@ -64,8 +64,9 @@ struct SeaweedMessage : WireMessage {
 
   // kVertexReplicate: the vertex entries one fold pass changed, for one
   // backup. Each vertex lists either its full state or the changed children.
-  // Results are shared: one result reachable from several entries (a chain
-  // of single-child vertices) is encoded once and back-referenced after.
+  // An equal result in several entries is encoded once and back-referenced
+  // after, whether the entries share its pointer (a chain of single-child
+  // vertices) or hold equal copies, so the bytes depend only on the values.
   struct ReplicaEntry {
     NodeId child;
     uint64_t version = 0;

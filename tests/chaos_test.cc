@@ -19,6 +19,7 @@
 
 #include "obs/export.h"
 #include "seaweed/cluster_options.h"
+#include "trace/farsite_model.h"
 
 namespace seaweed {
 namespace {
@@ -440,10 +441,10 @@ TEST(ChaosTest, RootChainPrimaryCrashBetweenFoldPasses) {
 }
 
 TEST(ChaosTest, PeriodicRepropagationAfterRootPrimaryCrash) {
-  // Every vertex re-propagates once per result_refresh_period for as long
-  // as its query lives; a fold pass or a re-propagation round arms one
-  // timer for all the vertices it touched. Crash the root chain's primary
-  // after the first round: the backups take over, and the rounds after the
+  // Every node refreshes each query once per result_refresh_period for as
+  // long as it lives: its leaf resubmits, and one fold pass re-propagates
+  // every vertex it is primary for. Crash the root chain's primary after
+  // the first refresh: the backups take over, and the refreshes after the
   // crash must keep the result exact and never overcount.
   const int n = 24;
   ClusterOptions opts;
@@ -479,9 +480,9 @@ TEST(ChaosTest, PeriodicRepropagationAfterRootPrimaryCrash) {
   }
   ASSERT_NE(primary, 0);
 
-  // The first round runs one period after the first fold passes.
+  // The first refresh runs one period after each node learned the query.
   cluster.sim().RunUntil(injected + period + 2 * kMinute);
-  EXPECT_GT(CounterValue(cluster, "seaweed.repropagation_rounds"), 0u);
+  EXPECT_GT(CounterValue(cluster, "seaweed.vertex_repropagations"), 0u);
   EXPECT_EQ(latest.endsystems, n);
   cluster.BringDown(primary);
   crashed = true;
@@ -494,12 +495,59 @@ TEST(ChaosTest, PeriodicRepropagationAfterRootPrimaryCrash) {
   EXPECT_EQ(latest.rows_matched, per_port);
   ASSERT_EQ(latest.states.size(), 2u);
   EXPECT_EQ(latest.states[1].sum, 100.0 * static_cast<double>(per_port));
-  // One timer per fold pass or round that asked for any, plus at most one
-  // per vertex update made outside them — never one per vertex folded.
-  EXPECT_LE(CounterValue(cluster, "seaweed.repropagation_timers"),
-            CounterValue(cluster, "seaweed.fold_passes") +
-                CounterValue(cluster, "seaweed.repropagation_rounds") +
-                CounterValue(cluster, "seaweed.vertex_updates_outside_pass"));
+}
+
+TEST(ChaosTest, ContributionCountedBeforeALossBurstIsNeverLost) {
+  // A 60% loss burst opening just after the query's first hop: results
+  // reach the root while vertex updates, acks and replications are lost,
+  // and the periodic refresh must restore every contribution for good.
+  // The run is `simctl --endsystems 60 --hours 2 --seed 7` (Farsite churn,
+  // the query injected at T/4 from the first online endsystem) under
+  // fault-plan seed 4.
+  const int n = 60;
+  const SimDuration duration = 2 * kHour;
+  FarsiteModelConfig trace_cfg;
+  trace_cfg.seed = 7;
+  AvailabilityTrace trace =
+      GenerateFarsiteTrace(trace_cfg, n, duration + kHour);
+  FaultPlan plan;
+  plan.WithSeed(4).AddBurst(FromSeconds(1800.2), FromSeconds(1840), 0.6);
+  ClusterOptions opts;
+  opts.WithEndsystems(n).WithSeed(7).WithKeepTables(true).WithFaultPlan(
+      plan);
+  opts.anemone().days = 7;
+  opts.anemone().workstation_flows_per_day = 40;
+  SeaweedCluster cluster(opts.BuildOrDie());
+  cluster.DriveFromTrace(trace, duration);
+
+  // The fault-free run's final answer: every endsystem online during the
+  // query's lifetime, each counted once.
+  const int64_t exact_rows = 8298;
+  const int64_t exact_endsystems = 31;
+  bool overcounted = false;
+  db::AggregateResult latest;
+  const SimTime inject_at = duration / 4;
+  cluster.sim().At(inject_at, [&] {
+    int origin = 0;
+    while (!cluster.pastry_node(origin)->joined()) ++origin;
+    QueryObserver obs;
+    obs.on_result = [&](const NodeId&, const db::AggregateResult& r) {
+      latest = r;
+      if (r.rows_matched > exact_rows || r.endsystems > exact_endsystems) {
+        overcounted = true;
+      }
+    };
+    auto qid = cluster.InjectQuery(origin,
+                                   "SELECT COUNT(*), SUM(Bytes) FROM Flow",
+                                   std::move(obs), duration - inject_at);
+    ASSERT_TRUE(qid.ok()) << qid.status();
+  });
+  cluster.sim().RunUntil(duration);
+
+  EXPECT_GT(CounterValue(cluster, "fault.burst_drops"), 0u);
+  EXPECT_FALSE(overcounted);
+  EXPECT_EQ(latest.rows_matched, exact_rows);
+  EXPECT_EQ(latest.endsystems, exact_endsystems);
 }
 
 // One full run of a smaller chaos scenario, returning the obs exports.

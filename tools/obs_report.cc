@@ -373,9 +373,7 @@ void PrintPipeline(const Dump& d) {
 // vertex-id levels in one step), and what goes to the vertex backups: one
 // kVertexReplicate per backup per pass, plus one per backup for each
 // remote submit that arrives between passes. Then the vertex state the
-// nodes hold as primaries and backups (gauges: at dump, and peak), and the
-// periodic re-propagation: one timer per pass or round that asked for one,
-// plus one per vertex update outside them.
+// nodes hold as primaries and backups (gauges: at dump, and peak).
 void PrintResultPlane(const Dump& d) {
   const uint64_t updates = CounterOr0(d, "seaweed.vertex_updates");
   const uint64_t passes = CounterOr0(d, "seaweed.fold_passes");
@@ -407,10 +405,6 @@ void PrintResultPlane(const Dump& d) {
                   it->second.first, it->second.second);
     }
   }
-  std::printf("  %-36s %12" PRIu64 "\n", "re-propagation timers armed",
-              CounterOr0(d, "seaweed.repropagation_timers"));
-  std::printf("  %-36s %12" PRIu64 "\n", "re-propagation rounds",
-              CounterOr0(d, "seaweed.repropagation_rounds"));
 }
 
 void PrintSketches(const Dump& d) {
@@ -435,6 +429,7 @@ void PrintRepairs(const Dump& d) {
       {"seaweed.vertex_repropagations", "aggregation-tree re-propagations"},
       {"seaweed.dissem_reissues", "dissemination re-issues"},
       {"seaweed.dissem_refreshes", "dissemination refreshes"},
+      {"seaweed.dissem_guard_trips", "range subdivision guard trips"},
       {"seaweed.leaf_retries", "leaf-result retries"},
       {"overlay.hop_limit_drops", "hop-limit drops"},
   };
