@@ -286,13 +286,15 @@ SeaweedMessagePtr CodecBenchMessage(SeaweedMessage::Kind kind) {
   msg->parent = overlay::NodeHandle{NodeId(3, 3), 7};
   switch (kind) {
     case SeaweedMessage::Kind::kMetadataPush: {
-      msg->metadata.owner = NodeId(5, 5);
-      msg->metadata.version = 3;
+      Metadata metadata;
+      metadata.owner = NodeId(5, 5);
+      metadata.version = 3;
       db::TableSummary t;
       t.table_name = "Flow";
       t.total_rows = 100000;
-      msg->metadata.summary.tables.push_back(t);
-      msg->metadata.availability.RecordDownPeriod(kHour, 9 * kHour);
+      metadata.summary.tables.push_back(t);
+      metadata.availability.RecordDownPeriod(kHour, 9 * kHour);
+      msg->metadata = MetadataRecord::Make(metadata);
       msg->metadata_wire_bytes = 6473;
       break;
     }
@@ -343,6 +345,39 @@ void EncodeDecodeLoop(benchmark::State& state, const WireMessage& msg) {
   state.SetBytesProcessed(static_cast<int64_t>(bytes));
 }
 
+// The meter's first WireBytes() on a new message (later calls hit the
+// cache), so each iteration sizes a fresh copy of the fixture.
+void WireBytesLoop(benchmark::State& state, const SeaweedMessage& fixture) {
+  for (auto _ : state) {
+    SeaweedMessage msg = fixture;
+    benchmark::DoNotOptimize(msg.WireBytes());
+  }
+}
+
+// As above for a packet, whose payload is a fresh copy too.
+void PacketWireBytesLoop(benchmark::State& state,
+                         const overlay::Packet& fixture) {
+  const auto& payload =
+      static_cast<const SeaweedMessage&>(*fixture.app_payload);
+  for (auto _ : state) {
+    overlay::Packet pkt = fixture;
+    pkt.app_payload = std::make_shared<SeaweedMessage>(payload);
+    benchmark::DoNotOptimize(pkt.WireBytes());
+  }
+}
+
+overlay::Packet CodecBenchPacket() {
+  overlay::Packet pkt;
+  pkt.kind = overlay::Packet::Kind::kApp;
+  pkt.src = overlay::NodeHandle{NodeId(1, 1), 2};
+  pkt.key = NodeId(2, 2);
+  pkt.category = TrafficCategory::kResult;
+  pkt.app_payload = CodecBenchMessage(SeaweedMessage::Kind::kResultSubmit);
+  return pkt;
+}
+
+// BM_EncodeDecode/<kind> round-trips each fixture through the codec;
+// BM_WireBytes/<kind> sizes it.
 void RegisterEncodeDecodeBenches() {
   struct KindName {
     SeaweedMessage::Kind kind;
@@ -366,18 +401,20 @@ void RegisterEncodeDecodeBenches() {
     benchmark::RegisterBenchmark(
         name.c_str(),
         [msg](benchmark::State& state) { EncodeDecodeLoop(state, *msg); });
+    name = std::string("BM_WireBytes/") + k.name;
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [msg](benchmark::State& state) { WireBytesLoop(state, *msg); });
   }
   // An overlay packet carrying an app payload — the outermost frame the
   // serializing transport round-trips.
-  auto pkt = std::make_shared<overlay::Packet>();
-  pkt->kind = overlay::Packet::Kind::kApp;
-  pkt->src = overlay::NodeHandle{NodeId(1, 1), 2};
-  pkt->key = NodeId(2, 2);
-  pkt->category = TrafficCategory::kResult;
-  pkt->app_payload = CodecBenchMessage(SeaweedMessage::Kind::kResultSubmit);
+  auto pkt = std::make_shared<overlay::Packet>(CodecBenchPacket());
   benchmark::RegisterBenchmark(
       "BM_EncodeDecode/AppPacket",
       [pkt](benchmark::State& state) { EncodeDecodeLoop(state, *pkt); });
+  benchmark::RegisterBenchmark(
+      "BM_WireBytes/AppPacket",
+      [pkt](benchmark::State& state) { PacketWireBytesLoop(state, *pkt); });
 }
 
 void BM_AggregateResultSerialize(benchmark::State& state) {

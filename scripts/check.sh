@@ -2,7 +2,8 @@
 # Full pre-merge check: builds the default configuration and the
 # ASan+UBSan configuration, runs the complete test suite under both, and
 # runs the differentials under both: serializing-transport and two chaos
-# replays. Each differential also requires that its runs exercised what it
+# replays. Under the serializing transport every message's counted size is
+# checked against its real encoding's. Each differential also requires that its runs exercised what it
 # is about: re-propagated vertices (seaweed.vertex_repropagations > 0 in
 # their obs dumps) and, under the heavier chaos plan, leaf and vertex
 # give-ups (seaweed.leaf_giveups, seaweed.vertex_giveups); and that no
@@ -172,6 +173,20 @@ sketch_smoke() {
   echo "sketch outputs bit-identical through the wire codec"
 }
 
+# Codec bench smoke: bench/micro_core's codec benchmarks, each once with a
+# minimal min-time. Their fixtures SEAWEED_CHECK every round trip, so a
+# fixture the codec no longer accepts fails here instead of rotting in a
+# binary nothing else runs.
+codec_bench_smoke() {
+  local build="$1"
+  local benchbin="$build/bench/micro_core"
+  require_binary "$benchbin"
+  echo "--- codec bench smoke ($build) ---"
+  "$benchbin" --benchmark_filter='BM_(EncodeDecode|WireBytes)' \
+      --benchmark_min_time=0.001 > "$build/micro_core_smoke.out"
+  echo "$(grep -c 'BM_' "$build/micro_core_smoke.out") codec benchmarks ran"
+}
+
 # Multi-process loopback differential: 3 seaweedd shards over real UDP
 # sockets must answer a GROUP BY query with the exact bytes the in-memory
 # simulation produces for the same seed and dataset, with a monotone
@@ -263,6 +278,7 @@ chaos_replay build chaos "$CHAOS_PLAN" seaweed.vertex_repropagations
 chaos_replay build giveup "$GIVEUP_PLAN" seaweed.leaf_giveups \
     seaweed.vertex_giveups
 sketch_smoke build
+codec_bench_smoke build
 loopback_smoke build 19600
 if [[ "${SEAWEED_SCALE_SMOKE:-0}" == "1" ]]; then
   scale_smoke build
@@ -284,6 +300,7 @@ chaos_replay build-asan chaos "$CHAOS_PLAN" seaweed.vertex_repropagations
 chaos_replay build-asan giveup "$GIVEUP_PLAN" seaweed.leaf_giveups \
     seaweed.vertex_giveups
 sketch_smoke build-asan
+codec_bench_smoke build-asan
 loopback_smoke build-asan 19620
 if [[ "${SEAWEED_LOAD_SMOKE:-0}" == "1" ]]; then
   # Sanitizer instrumentation makes the sweep ~4x slower; one rate is

@@ -1,13 +1,19 @@
 #include "common/serialize.h"
 
+#include <algorithm>
+
 namespace seaweed {
+
+void Writer::Grow(size_t n) {
+  buf_.resize(std::max({size_ + n, 2 * buf_.size(), size_t{64}}));
+}
 
 void Writer::PutVarint(uint64_t v) {
   while (v >= 0x80) {
-    buf_.push_back(static_cast<uint8_t>(v) | 0x80);
+    PutU8(static_cast<uint8_t>(v) | 0x80);
     v >>= 7;
   }
-  buf_.push_back(static_cast<uint8_t>(v));
+  PutU8(static_cast<uint8_t>(v));
 }
 
 Result<uint8_t> Reader::GetU8() {

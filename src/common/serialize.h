@@ -1,9 +1,11 @@
 // Binary serialization for overlay and Seaweed wire messages.
 //
 // Little-endian, length-prefixed, with varint encoding for integers that are
-// usually small. Message sizes computed from these encoders drive the
+// usually small. Message sizes counted from these encoders drive the
 // simulator's bandwidth accounting, so encoders are the single source of
-// truth for "how many bytes does this message cost".
+// truth for "how many bytes does this message cost". A counting Writer
+// (Writer(Writer::CountOnly{})) runs the same encoder and only advances a
+// byte count, so a size costs no buffer.
 #pragma once
 
 #include <cstdint>
@@ -16,19 +18,37 @@
 
 namespace seaweed {
 
-// Append-only byte sink.
+// Append-only byte sink, or, built with CountOnly, a byte counter that runs
+// the same Put* calls and writes nothing.
 class Writer {
  public:
-  const std::vector<uint8_t>& bytes() const { return buf_; }
-  std::vector<uint8_t> TakeBytes() { return std::move(buf_); }
-  size_t size() const { return buf_.size(); }
-  // Drops everything written after the first `n` bytes.
-  void Truncate(size_t n) { buf_.resize(n); }
+  struct CountOnly {};
 
-  void PutU8(uint8_t v) { buf_.push_back(v); }
-  void PutU16(uint16_t v) { PutLittleEndian(&v, 2); }
-  void PutU32(uint32_t v) { PutLittleEndian(&v, 4); }
-  void PutU64(uint64_t v) { PutLittleEndian(&v, 8); }
+  Writer() = default;
+  explicit Writer(CountOnly) : counting_(true) {}
+
+  // True for a counting writer: it holds no bytes, size() is the count.
+  bool counting() const { return counting_; }
+  // The bytes written (none for a counting writer).
+  const std::vector<uint8_t>& bytes() {
+    Trim();
+    return buf_;
+  }
+  std::vector<uint8_t> TakeBytes() {
+    Trim();
+    size_ = 0;
+    return std::move(buf_);
+  }
+  // The first of the size() bytes written, valid until the next Put*.
+  const uint8_t* data() const { return buf_.data(); }
+  size_t size() const { return size_; }
+  // Drops everything written after the first `n` bytes.
+  void Truncate(size_t n) { size_ = n; }
+
+  void PutU8(uint8_t v) { Append(&v, 1); }
+  void PutU16(uint16_t v) { Append(&v, 2); }
+  void PutU32(uint32_t v) { Append(&v, 4); }
+  void PutU64(uint64_t v) { Append(&v, 8); }
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutDouble(double v) {
     uint64_t bits;
@@ -47,20 +67,43 @@ class Writer {
 
   void PutString(const std::string& s) {
     PutVarint(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    PutBytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
 
   void PutBytes(const uint8_t* data, size_t n) {
-    buf_.insert(buf_.end(), data, data + n);
+    if (n > 0) Append(data, n);
   }
 
+  // Counts `n` bytes whose encoding is already known; counting writers only.
+  void AddCount(size_t n) { size_ += n; }
+
  private:
-  void PutLittleEndian(const void* p, size_t n) {
-    const uint8_t* b = static_cast<const uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);  // host is little-endian on all targets
+  // Integers are copied in host order: little-endian on all targets.
+  void Append(const void* p, size_t n) {
+    if (!counting_) {
+      if (buf_.size() - size_ < n) Grow(n);
+      std::memcpy(buf_.data() + size_, p, n);
+    }
+    size_ += n;
   }
-  std::vector<uint8_t> buf_;
+  // Makes room for `n` more bytes past size_.
+  void Grow(size_t n);
+  // Drops the slack past the bytes written.
+  void Trim() { buf_.resize(counting_ ? 0 : size_); }
+
+  std::vector<uint8_t> buf_;  // bytes [0, size_), then slack
+  size_t size_ = 0;
+  bool counting_ = false;
 };
+
+// Encoded size of `x` (anything with `void Encode(Writer&) const`), counted
+// without writing a byte.
+template <typename T>
+size_t CountedBytes(const T& x) {
+  Writer w(Writer::CountOnly{});
+  x.Encode(w);
+  return w.size();
+}
 
 // Sequential byte source with bounds checking. All getters return Status on
 // truncation rather than asserting, so malformed messages are survivable.
@@ -72,6 +115,8 @@ class Reader {
 
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }
+  // The next unread byte.
+  const uint8_t* cursor() const { return data_ + pos_; }
 
   Result<uint8_t> GetU8();
   Result<uint16_t> GetU16();

@@ -30,8 +30,9 @@ Result<WireMessagePtr> DecodePadding(Reader& r) {
 
 uint32_t WireMessage::EncodedBytes() const {
   if (encoded_bytes_ == 0) {
-    Writer w;
-    Encode(w);
+    Writer w(Writer::CountOnly{});
+    w.PutU8(wire_type());
+    EncodeBody(w);
     encoded_bytes_ = static_cast<uint32_t>(w.size());
   }
   return encoded_bytes_;

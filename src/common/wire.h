@@ -1,11 +1,11 @@
 // Typed wire envelope for every message the simulated network carries.
 //
 // A WireMessage serializes itself (1-byte type tag + body) through
-// common/serialize.h, and its encoded length — computed once and cached —
-// is what the bandwidth meter charges. Concrete messages (overlay::Packet,
-// SeaweedMessage) register a body decoder for their type tag, so any
-// transport can reconstruct a message from raw bytes without depending on
-// the concrete message types.
+// common/serialize.h, and its encoded length — counted once by a counting
+// Writer, without a buffer, and cached — is what the bandwidth meter
+// charges. Concrete messages (overlay::Packet, SeaweedMessage) register a
+// body decoder for their type tag, so any transport can reconstruct a
+// message from raw bytes without depending on the concrete message types.
 #pragma once
 
 #include <cstdint>
@@ -31,16 +31,22 @@ class WireMessage {
 
   virtual uint8_t wire_type() const = 0;
 
-  // Serializes the full message: type tag + body.
+  // Serializes the full message: type tag + body. A counting writer adds
+  // the cached EncodedBytes() instead, so a frame nested in another (a
+  // packet's payload) is walked once however often its host is sized.
   void Encode(Writer& w) const {
+    if (w.counting()) {
+      w.AddCount(EncodedBytes());
+      return;
+    }
     w.PutU8(wire_type());
     EncodeBody(w);
   }
 
-  // Exact encoded size in bytes (tag + body), computed by encoding once and
-  // cached. A message must not change in an encoding-visible way after its
-  // first Encode/EncodedBytes — the one field mutated in flight
-  // (Packet::hops) is fixed-width on the wire for exactly this reason.
+  // Exact encoded size in bytes (tag + body), counted once and cached. A
+  // message must not change in an encoding-visible way after its first
+  // Encode/EncodedBytes — the one field mutated in flight (Packet::hops) is
+  // fixed-width on the wire for exactly this reason.
   uint32_t EncodedBytes() const;
 
   // Bytes charged to the bandwidth meter for this message. Defaults to the

@@ -109,11 +109,7 @@ Result<DatabaseSummary> DatabaseSummary::Decode(Reader& r) {
   return s;
 }
 
-size_t DatabaseSummary::EncodedBytes() const {
-  Writer w;
-  Encode(w);
-  return w.size();
-}
+size_t DatabaseSummary::EncodedBytes() const { return CountedBytes(*this); }
 
 double DatabaseSummary::EstimateRows(const SelectQuery& query) const {
   const TableSummary* t = FindTable(query.table);

@@ -141,11 +141,7 @@ Result<NumericHistogram> NumericHistogram::Decode(Reader& r) {
   return h;
 }
 
-size_t NumericHistogram::EncodedBytes() const {
-  Writer w;
-  Encode(w);
-  return w.size();
-}
+size_t NumericHistogram::EncodedBytes() const { return CountedBytes(*this); }
 
 StringHistogram StringHistogram::Build(const Column& column, int max_mcvs) {
   SEAWEED_CHECK(column.type() == ColumnType::kString);
@@ -213,11 +209,7 @@ Result<StringHistogram> StringHistogram::Decode(Reader& r) {
   return h;
 }
 
-size_t StringHistogram::EncodedBytes() const {
-  Writer w;
-  Encode(w);
-  return w.size();
-}
+size_t StringHistogram::EncodedBytes() const { return CountedBytes(*this); }
 
 ColumnSummary ColumnSummary::Numeric(std::string column, NumericHistogram h) {
   ColumnSummary s;
@@ -259,10 +251,6 @@ Result<ColumnSummary> ColumnSummary::Decode(Reader& r) {
   return s;
 }
 
-size_t ColumnSummary::EncodedBytes() const {
-  Writer w;
-  Encode(w);
-  return w.size();
-}
+size_t ColumnSummary::EncodedBytes() const { return CountedBytes(*this); }
 
 }  // namespace seaweed::db

@@ -401,11 +401,7 @@ Result<AggregateResult> AggregateResult::Decode(Reader& r) {
   return out;
 }
 
-size_t AggregateResult::EncodedBytes() const {
-  Writer w;
-  Encode(w);
-  return w.size();
-}
+size_t AggregateResult::EncodedBytes() const { return CountedBytes(*this); }
 
 bool AggregateResult::HasSketchStates() const {
   for (const auto& s : states) {

@@ -48,11 +48,7 @@ Status CheckVersion(Reader& r) {
 
 }  // namespace
 
-size_t SketchState::EncodedBytes() const {
-  Writer w;
-  Encode(w);
-  return w.size();
-}
+size_t SketchState::EncodedBytes() const { return CountedBytes(*this); }
 
 // ---------------------------------------------------------------------------
 // HyperLogLog

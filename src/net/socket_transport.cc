@@ -142,7 +142,7 @@ bool SocketTransport::Send(EndsystemIndex from, EndsystemIndex to,
   if (IsLocal(to)) {
     // Same codec round trip as the wire, minus the socket: decode a fresh
     // message so the receiver never shares mutable state with the sender.
-    Reader r(w.bytes().data() + kFrameHeaderBytes,
+    Reader r(w.data() + kFrameHeaderBytes,
              w.size() - kFrameHeaderBytes);
     auto decoded = DecodeWireMessage(r);
     SEAWEED_CHECK_MSG(decoded.ok(),
@@ -166,7 +166,7 @@ bool SocketTransport::Send(EndsystemIndex from, EndsystemIndex to,
   // the frame header) into kFragMagic fragments the receiver reassembles.
   // Any lost fragment loses the whole message, exactly like a lost whole
   // frame; retries remain the protocol's job.
-  const uint8_t* payload = w.bytes().data() + kFrameHeaderBytes;
+  const uint8_t* payload = w.data() + kFrameHeaderBytes;
   const size_t payload_len = w.size() - kFrameHeaderBytes;
   const size_t chunk_max = kMaxDatagramBytes - kFragHeaderBytes;
   const size_t count = (payload_len + chunk_max - 1) / chunk_max;
@@ -193,7 +193,7 @@ bool SocketTransport::Send(EndsystemIndex from, EndsystemIndex to,
 
 bool SocketTransport::SendDatagram(const Writer& w, EndsystemIndex to) {
   const sockaddr_in& addr = peer_addr_[static_cast<size_t>(map_.ShardOf(to))];
-  ssize_t n = sendto(fd_, w.bytes().data(), w.size(), 0,
+  ssize_t n = sendto(fd_, w.data(), w.size(), 0,
                      reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
   if (n != static_cast<ssize_t>(w.size())) {
     // Full socket buffer or transient kernel refusal: the datagram is lost

@@ -153,10 +153,6 @@ Result<AvailabilityModel> AvailabilityModel::Decode(Reader& r) {
   return m;
 }
 
-size_t AvailabilityModel::EncodedBytes() const {
-  Writer w;
-  Encode(w);
-  return w.size();
-}
+size_t AvailabilityModel::EncodedBytes() const { return CountedBytes(*this); }
 
 }  // namespace seaweed

@@ -82,9 +82,7 @@ Result<CompletenessPredictor> CompletenessPredictor::Decode(Reader& r) {
 }
 
 size_t CompletenessPredictor::EncodedBytes() const {
-  Writer w;
-  Encode(w);
-  return w.size();
+  return CountedBytes(*this);
 }
 
 }  // namespace seaweed

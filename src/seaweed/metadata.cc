@@ -36,29 +36,41 @@ Result<Metadata> Metadata::Decode(Reader& r) {
   return m;
 }
 
-Metadata MetadataStore::Record::Decoded() const {
-  Reader r(encoded);
+MetadataRecord MetadataRecord::Make(const Metadata& metadata) {
+  Writer w;
+  metadata.Encode(w);
+  return MetadataRecord{
+      metadata.owner, metadata.version,
+      std::make_shared<const std::vector<uint8_t>>(w.bytes()),
+      static_cast<uint32_t>(metadata.summary.EncodedBytes())};
+}
+
+Result<MetadataRecord> MetadataRecord::Decode(Reader& r) {
+  const uint8_t* start = r.cursor();
+  SEAWEED_ASSIGN_OR_RETURN(Metadata m, Metadata::Decode(r));
+  return MetadataRecord{
+      m.owner, m.version,
+      std::make_shared<const std::vector<uint8_t>>(start, r.cursor()),
+      static_cast<uint32_t>(m.summary.EncodedBytes())};
+}
+
+Metadata MetadataRecord::Decoded() const {
+  Reader r(*bytes);
   Result<Metadata> decoded = Metadata::Decode(r);
   SEAWEED_CHECK_MSG(decoded.ok(), "metadata record decode failed: " +
                                       decoded.status().ToString());
   return std::move(decoded).value();
 }
 
-bool MetadataStore::Upsert(const Metadata& metadata) {
-  Record* rec = records_.Find(metadata.owner);
+bool MetadataStore::Upsert(const MetadataRecord& record) {
+  Record* rec = records_.Find(record.owner);
   if (rec == nullptr) {
-    Writer w;
-    metadata.Encode(w);
-    records_.Put(metadata.owner,
-                 Record{metadata.owner, metadata.version, w.bytes(),
-                        /*down_since=*/-1, /*acquired_at=*/now_});
+    records_.Put(record.owner, Record{record, /*down_since=*/-1,
+                                      /*acquired_at=*/now_});
     return true;
   }
-  if (metadata.version < rec->version) return false;
-  Writer w;
-  metadata.Encode(w);
-  rec->version = metadata.version;
-  rec->encoded = w.bytes();
+  if (record.version < rec->version) return false;
+  static_cast<MetadataRecord&>(*rec) = record;
   rec->down_since = -1;  // a push implies the owner is alive
   return true;
 }
@@ -97,9 +109,35 @@ std::vector<const MetadataStore::Record*> MetadataStore::All() const {
   return out;
 }
 
-size_t MetadataStore::ApproxBytes() const {
+MetadataStore::CountedRecords::CountedRecords(size_t capacity) {
+  size_t n = 16;
+  while (n < 2 * capacity) n *= 2;
+  slots_.resize(n);
+}
+
+bool MetadataStore::CountedRecords::Insert(const NodeId& owner,
+                                           uint64_t version) {
+  SEAWEED_CHECK_MSG(size_ < slots_.size() / 2, "CountedRecords is full");
+  const size_t mask = slots_.size() - 1;
+  size_t i = (NodeIdHash()(owner) ^ (version * 0x9e3779b97f4a7c15ULL)) & mask;
+  for (;; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (!slot.used) {
+      slot = Slot{owner, version, true};
+      ++size_;
+      return true;
+    }
+    if (slot.owner == owner && slot.version == version) return false;
+  }
+}
+
+size_t MetadataStore::ApproxBytes(CountedRecords* counted) const {
   size_t total = records_.ApproxBytes();
-  for (const auto& [owner, rec] : records_) total += rec.encoded.capacity();
+  for (const auto& [owner, rec] : records_) {
+    if (counted->Insert(owner, rec.version)) {
+      total += sizeof(*rec.bytes) + rec.bytes->capacity();
+    }
+  }
   return total;
 }
 

@@ -3,6 +3,7 @@
 // replicates.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -38,12 +39,32 @@ struct Metadata {
   static Result<Metadata> Decode(Reader& r);
 
   // Serialized size (h + a of Table 1 plus replicated view values),
-  // derived from the encoder.
-  size_t EncodedBytes() const {
-    Writer w;
-    Encode(w);
-    return w.size();
-  }
+  // counted from the encoder.
+  size_t EncodedBytes() const { return CountedBytes(*this); }
+};
+
+// One owner's metadata at one version, encoded once. The owner builds it
+// when the version bumps; every push of that version, every anti-entropy
+// forward and every replica's store share the one immutable buffer, so a
+// record is neither re-encoded nor copied on its way.
+struct MetadataRecord {
+  NodeId owner;
+  uint64_t version = 0;
+  // Wire-form Metadata (Metadata::Encode); never null in a built record.
+  std::shared_ptr<const std::vector<uint8_t>> bytes;
+  // Encoded length of the summary inside `bytes` (the part a calibrated
+  // push charge replaces).
+  uint32_t summary_bytes = 0;
+
+  // Encodes `metadata` once.
+  static MetadataRecord Make(const Metadata& metadata);
+  // Validates one encoded Metadata through Metadata::Decode and keeps the
+  // bytes it consumed as the record.
+  static Result<MetadataRecord> Decode(Reader& r);
+
+  // Decodes the bytes (CHECK-fails on corruption: they passed
+  // Metadata::Decode or came from our own encoder).
+  Metadata Decoded() const;
 };
 
 // Store of metadata replicas held by one endsystem, with the observed
@@ -52,36 +73,29 @@ struct Metadata {
 // occurred").
 //
 // Records are held encoded-at-rest: the metadata lives as its wire bytes
-// (flat storage, one allocation) and is decoded on demand. A decoded
+// (a MetadataRecord's shared buffer) and is decoded on demand. A decoded
 // Metadata costs hundreds of heap bytes across the summary/model/view
 // containers; times ~8 replicas times a million endsystems that is tens of
-// GB, while the encoded form is a few hundred contiguous bytes. The fields
-// the store's own bookkeeping needs (owner, version) are cached unencoded.
+// GB, while the encoded form is a few hundred contiguous bytes, held once
+// per (owner, version) in a simulation however many replicas store it.
 class MetadataStore {
  public:
-  struct Record {
-    NodeId owner;
-    uint64_t version = 0;
-    // Wire-form Metadata (Metadata::Encode).
-    std::vector<uint8_t> encoded;
+  struct Record : MetadataRecord {
     // -1 while the owner is believed up; otherwise the time this replica
     // noticed the owner go down.
     SimTime down_since = -1;
     // When this replica first acquired the record (fallback down-time for
     // owners learned via anti-entropy that we never saw alive).
     SimTime acquired_at = 0;
-
-    // Decodes the stored metadata (CHECK-fails on corruption: the bytes
-    // came from our own encoder).
-    Metadata Decoded() const;
   };
 
   // Sets the clock used to stamp acquired_at on insert.
   void SetNow(SimTime now) { now_ = now; }
 
   // Inserts or updates; keeps the freshest version. A push from the owner
-  // also implies the owner is up. Returns true if the store changed.
-  bool Upsert(const Metadata& metadata);
+  // also implies the owner is up. Returns true if the store changed. The
+  // store shares `record`'s buffer; nothing is encoded.
+  bool Upsert(const MetadataRecord& record);
 
   // Marks an owner as down (no-op if we hold no replica for it).
   void MarkDown(const NodeId& owner, SimTime now);
@@ -109,8 +123,34 @@ class MetadataStore {
   size_t size() const { return records_.size(); }
   void Clear() { records_.Clear(); }
 
-  // Heap bytes held by the store (record table plus encoded payloads).
-  size_t ApproxBytes() const;
+  // The (owner, version) of each record buffer counted so far: a flat
+  // open-addressing table, since a cluster-wide count visits every record
+  // of every store (tens of thousands) each time gauges are published.
+  class CountedRecords {
+   public:
+    // Holds up to `capacity` keys.
+    explicit CountedRecords(size_t capacity);
+    // True when the key was not yet in the set.
+    bool Insert(const NodeId& owner, uint64_t version);
+    size_t size() const { return size_; }
+
+   private:
+    struct Slot {
+      NodeId owner;
+      uint64_t version = 0;
+      bool used = false;
+    };
+    std::vector<Slot> slots_;  // a power of two, at least twice `capacity`
+    size_t size_ = 0;
+  };
+
+  // Heap bytes held by the store: its record table, plus the buffer of
+  // each record whose (owner, version) is not yet in `counted` (which
+  // collects them). One version has one record, whose buffer every replica
+  // in the process shares, so stores that pass the same set count it once.
+  // Keyed on the version, not the buffer, the sum does not depend on
+  // whether a transport decoded each replica a copy.
+  size_t ApproxBytes(CountedRecords* counted) const;
 
  private:
   FlatMap<NodeId, Record> records_;

@@ -385,13 +385,12 @@ bool SeaweedNode::LikelyReplicaFor(const NodeId& owner,
   return between < config_.metadata_replicas / 2;
 }
 
-void SeaweedNode::PushMetadataTo(const NodeHandle& to) {
-  auto msg = std::make_shared<SeaweedMessage>();
-  msg->kind = SeaweedMessage::Kind::kMetadataPush;
-  msg->metadata.owner = id();
-  msg->metadata.version = metadata_version_;
-  msg->metadata.summary = data_->Summary(index());
-  msg->metadata.availability = own_model_;
+MetadataRecord SeaweedNode::BuildOwnRecord() {
+  Metadata metadata;
+  metadata.owner = id();
+  metadata.version = metadata_version_;
+  metadata.summary = data_->Summary(index());
+  metadata.availability = own_model_;
   for (const auto& view : config_.views) {
     db::ParseOptions opts;
     opts.now_unix_seconds = sim()->Now() / kSecond;
@@ -403,27 +402,33 @@ void SeaweedNode::PushMetadataTo(const NodeHandle& to) {
     }
     auto value = data_->Execute(index(), *parsed);
     if (value.ok()) {
-      msg->metadata.views.emplace_back(view.name, std::move(value).value());
+      metadata.views.emplace_back(view.name, std::move(value).value());
     }
   }
-  msg->metadata_wire_bytes = data_->SummaryWireBytes(index());
+  return MetadataRecord::Make(metadata);
+}
+
+void SeaweedNode::PushMetadataTo(const NodeHandle& to) {
   metrics_->metadata_pushes->Add();
-  SendSeaweed(to, msg, TrafficCategory::kMetadata);
+  PushRecordTo(to, own_record_);
 }
 
 void SeaweedNode::PushRecordTo(const NodeHandle& to,
-                               const MetadataStore::Record& rec) {
+                               const MetadataRecord& rec) {
   auto msg = std::make_shared<SeaweedMessage>();
   msg->kind = SeaweedMessage::Kind::kMetadataPush;
-  msg->metadata = rec.Decoded();
-  // Charged at our own summary's size: summaries are of the same order.
-  msg->metadata_wire_bytes = data_->SummaryWireBytes(index());
+  msg->metadata = rec;
+  // Another owner's record is charged at our own summary's size too:
+  // summaries are of the same order.
+  msg->metadata_wire_bytes = own_summary_wire_bytes_;
   SendSeaweed(to, msg, TrafficCategory::kMetadata);
 }
 
 void SeaweedNode::PushMetadataTick(uint64_t generation) {
   if (generation != generation_ || !pastry_->joined()) return;
   ++metadata_version_;
+  own_record_ = BuildOwnRecord();
+  own_summary_wire_bytes_ = data_->SummaryWireBytes(index());
   for (const auto& replica : ReplicaSet()) {
     PushMetadataTo(replica);
   }

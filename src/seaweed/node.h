@@ -321,11 +321,15 @@ class SeaweedNode : public overlay::PastryApp {
   Scheduler* sim() const { return overlay_->simulator(); }
 
   // --- Metadata plane ---
+  // Bumps the version, builds its one record (own_record_) and pushes it
+  // to the replica set.
   void PushMetadataTick(uint64_t generation);
+  MetadataRecord BuildOwnRecord();
+  // Pushes own_record_: a push between ticks sends the tick's record.
   void PushMetadataTo(const overlay::NodeHandle& to);
-  // Anti-entropy and re-replication: pushes a stored record to `to`.
-  void PushRecordTo(const overlay::NodeHandle& to,
-                    const MetadataStore::Record& rec);
+  // Sends `rec` as a kMetadataPush (also anti-entropy and re-replication of
+  // a stored record), charged at our own summary's size.
+  void PushRecordTo(const overlay::NodeHandle& to, const MetadataRecord& rec);
   // Drops records of owners believed up that we no longer qualify as a
   // replica for (safe any time: live owners re-push every period). Records
   // of down owners are only evicted by the periodic tick.
@@ -480,6 +484,10 @@ class SeaweedNode : public overlay::PastryApp {
   AvailabilityModel own_model_;
   SimTime went_down_at_ = -1;
   uint64_t metadata_version_ = 0;
+  // The record of metadata_version_ and our summary's push charge, both
+  // built by the tick that bumped the version.
+  MetadataRecord own_record_;
+  uint32_t own_summary_wire_bytes_ = 0;
 
   // Volatile (lost on failure, rebuilt on rejoin).
   MetadataStore metadata_;

@@ -20,7 +20,9 @@ void SeaweedMessage::EncodeBody(Writer& w) const {
   w.PutU8(static_cast<uint8_t>(kind));
   switch (kind) {
     case Kind::kMetadataPush:
-      metadata.Encode(w);
+      SEAWEED_CHECK_MSG(metadata.bytes != nullptr,
+                        "metadata push without a built record");
+      w.PutBytes(metadata.bytes->data(), metadata.bytes->size());
       w.PutVarint(metadata_wire_bytes);
       break;
     case Kind::kBroadcast:
@@ -60,13 +62,15 @@ void SeaweedMessage::EncodeBody(Writer& w) const {
       // the k-th result inlined earlier in this message. References key on
       // a result's bytes, so the layout depends only on the values (a
       // sender's entries may or may not share pointers: a decoded message
-      // never aliases another's). A result is inlined, and taken back for a
-      // reference when equal bytes were inlined before; `by_ptr` skips
-      // encoding a pointer seen before.
-      using Span = std::pair<size_t, size_t>;  // (offset, length) in `w`
-      auto view = [&w](const Span& s) {
+      // never aliases another's). Each result under a pointer not seen
+      // before is encoded into `scratch`; it is copied out when its bytes
+      // are new and taken back for a reference when equal bytes were
+      // inlined before. Counting and encoding writers take the same path.
+      Writer scratch;
+      using Span = std::pair<size_t, size_t>;  // (offset, length) in scratch
+      auto view = [&scratch](const Span& s) {
         return std::string_view(
-            reinterpret_cast<const char*>(w.bytes().data()) + s.first,
+            reinterpret_cast<const char*>(scratch.data()) + s.first,
             s.second);
       };
       auto hash = [&view](const Span& s) {
@@ -91,14 +95,16 @@ void SeaweedMessage::EncodeBody(Writer& w) const {
             w.PutVarint(ptr->second);
             continue;
           }
-          const size_t ref_at = w.size();
-          w.PutVarint(0);
-          e.result->Encode(w);
-          auto [ref, fresh] = by_bytes.emplace(
-              Span{ref_at + 1, w.size() - ref_at - 1}, by_bytes.size() + 1);
+          const size_t at = scratch.size();
+          e.result->Encode(scratch);
+          auto [ref, fresh] = by_bytes.emplace(Span{at, scratch.size() - at},
+                                               by_bytes.size() + 1);
           ptr->second = ref->second;
-          if (!fresh) {
-            w.Truncate(ref_at);
+          if (fresh) {
+            w.PutVarint(0);
+            w.PutBytes(scratch.data() + at, scratch.size() - at);
+          } else {
+            scratch.Truncate(at);
             w.PutVarint(ref->second);
           }
         }
@@ -129,7 +135,7 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
   msg->kind = static_cast<Kind>(kind_raw);
   switch (msg->kind) {
     case Kind::kMetadataPush: {
-      SEAWEED_ASSIGN_OR_RETURN(msg->metadata, Metadata::Decode(r));
+      SEAWEED_ASSIGN_OR_RETURN(msg->metadata, MetadataRecord::Decode(r));
       SEAWEED_ASSIGN_OR_RETURN(uint64_t mwb, r.GetVarint());
       if (mwb > UINT32_MAX) {
         return Status::ParseError("metadata wire bytes overflow uint32");
@@ -246,8 +252,7 @@ uint32_t SeaweedMessage::WireBytes() const {
     if (kind == Kind::kMetadataPush && metadata_wire_bytes != 0) {
       // Charge the calibrated / delta-encoded summary size instead of the
       // encoded one; the summary is encoded inside `n`, so no underflow.
-      n = n - static_cast<uint32_t>(metadata.summary.EncodedBytes()) +
-          metadata_wire_bytes;
+      n = n - metadata.summary_bytes + metadata_wire_bytes;
     }
     charged_bytes_ = n;
   }

@@ -1,6 +1,7 @@
 // Seaweed protocol messages, carried as application payloads over the
 // Pastry overlay. Each message is a WireMessage: its encoder defines both
-// the byte layout and (via WireBytes) the bandwidth-meter charge.
+// the byte layout and (via WireBytes) the bandwidth-meter charge, which a
+// counting Writer counts without encoding.
 #pragma once
 
 #include <memory>
@@ -38,8 +39,8 @@ struct SeaweedMessage : WireMessage {
 
   Kind kind = Kind::kQueryListRequest;
 
-  // kMetadataPush
-  Metadata metadata;
+  // kMetadataPush: the owner's record for one version, sent as its bytes.
+  MetadataRecord metadata;
   // Meter charge for the summary part, when it differs from the encoded
   // size (paper-calibrated summaries, delta-encoded pushes). Travels on the
   // wire so the charge survives decode.

@@ -14,6 +14,10 @@ bool SerializingTransport::Send(EndsystemIndex from, EndsystemIndex to,
 
   Writer w;
   msg->Encode(w);
+  // The size the meter charges is counted, not encoded: it must be the
+  // real encoding's.
+  SEAWEED_CHECK_MSG(w.size() == msg->EncodedBytes(),
+                    "counted wire size differs from the encoding");
 
   Reader r(w.bytes());
   Result<WireMessagePtr> decoded = DecodeWireMessage(r);

@@ -383,26 +383,26 @@ TEST(VertexFunctionTest, SiblingsShareParent) {
 
 // --- MetadataStore ---
 
-Metadata MakeMetadata(NodeId owner, uint64_t version) {
+MetadataRecord MakeRecord(NodeId owner, uint64_t version) {
   Metadata m;
   m.owner = owner;
   m.version = version;
-  return m;
+  return MetadataRecord::Make(m);
 }
 
 TEST(MetadataStoreTest, UpsertKeepsFreshest) {
   MetadataStore store;
   store.SetNow(100);
-  EXPECT_TRUE(store.Upsert(MakeMetadata(NodeId(0, 1), 5)));
-  EXPECT_FALSE(store.Upsert(MakeMetadata(NodeId(0, 1), 3)));  // stale
-  EXPECT_TRUE(store.Upsert(MakeMetadata(NodeId(0, 1), 7)));
+  EXPECT_TRUE(store.Upsert(MakeRecord(NodeId(0, 1), 5)));
+  EXPECT_FALSE(store.Upsert(MakeRecord(NodeId(0, 1), 3)));  // stale
+  EXPECT_TRUE(store.Upsert(MakeRecord(NodeId(0, 1), 7)));
   EXPECT_EQ(store.Find(NodeId(0, 1))->version, 7u);
   EXPECT_EQ(store.size(), 1u);
 }
 
 TEST(MetadataStoreTest, DownUpLifecycle) {
   MetadataStore store;
-  store.Upsert(MakeMetadata(NodeId(0, 1), 1));
+  store.Upsert(MakeRecord(NodeId(0, 1), 1));
   EXPECT_EQ(store.Find(NodeId(0, 1))->down_since, -1);
   store.MarkDown(NodeId(0, 1), 500);
   EXPECT_EQ(store.Find(NodeId(0, 1))->down_since, 500);
@@ -412,15 +412,15 @@ TEST(MetadataStoreTest, DownUpLifecycle) {
   EXPECT_EQ(store.Find(NodeId(0, 1))->down_since, -1);
   // A fresh push also implies up.
   store.MarkDown(NodeId(0, 1), 1000);
-  store.Upsert(MakeMetadata(NodeId(0, 1), 2));
+  store.Upsert(MakeRecord(NodeId(0, 1), 2));
   EXPECT_EQ(store.Find(NodeId(0, 1))->down_since, -1);
 }
 
 TEST(MetadataStoreTest, InRangeFiltering) {
   MetadataStore store;
-  store.Upsert(MakeMetadata(NodeId(0, 100), 1));
-  store.Upsert(MakeMetadata(NodeId(0, 200), 1));
-  store.Upsert(MakeMetadata(NodeId(0, 300), 1));
+  store.Upsert(MakeRecord(NodeId(0, 100), 1));
+  store.Upsert(MakeRecord(NodeId(0, 200), 1));
+  store.Upsert(MakeRecord(NodeId(0, 300), 1));
   store.MarkDown(NodeId(0, 200), 42);
   IdRange r{NodeId(0, 150), NodeId(0, 350), false};
   EXPECT_EQ(store.InRange(r, false).size(), 2u);
@@ -431,7 +431,7 @@ TEST(MetadataStoreTest, InRangeFiltering) {
 TEST(MetadataStoreTest, EvictIf) {
   MetadataStore store;
   for (uint64_t i = 0; i < 10; ++i) {
-    store.Upsert(MakeMetadata(NodeId(0, i), 1));
+    store.Upsert(MakeRecord(NodeId(0, i), 1));
   }
   size_t evicted =
       store.EvictIf([](const NodeId& owner, const MetadataStore::Record&) {
@@ -439,6 +439,43 @@ TEST(MetadataStoreTest, EvictIf) {
       });
   EXPECT_EQ(evicted, 5u);
   EXPECT_EQ(store.size(), 5u);
+}
+
+TEST(MetadataStoreTest, SharedRecordCountedOnce) {
+  // One record stored by two replicas (as one process's replica set stores
+  // it) is counted once by stores that share the counted set.
+  const MetadataRecord rec = MakeRecord(NodeId(0, 1), 1);
+  MetadataStore a;
+  MetadataStore b;
+  a.Upsert(rec);
+  b.Upsert(rec);
+  EXPECT_EQ(a.Find(NodeId(0, 1))->bytes, b.Find(NodeId(0, 1))->bytes);
+  const size_t buffer = sizeof(*rec.bytes) + rec.bytes->capacity();
+
+  MetadataStore::CountedRecords alone(4);
+  const size_t a_alone = a.ApproxBytes(&alone);
+  MetadataStore::CountedRecords shared(4);
+  const size_t a_shared = a.ApproxBytes(&shared);
+  const size_t b_shared = b.ApproxBytes(&shared);
+  EXPECT_EQ(a_shared, a_alone);
+  EXPECT_EQ(b_shared, a_alone - buffer);
+  EXPECT_EQ(shared.size(), 1u);
+
+  // A replica that decoded its own copy of the version (a serializing
+  // transport) adds no buffer either: the count is keyed on the version.
+  Reader r(*rec.bytes);
+  Result<MetadataRecord> copy = MetadataRecord::Decode(r);
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  EXPECT_NE(copy->bytes, rec.bytes);
+  MetadataStore c;
+  c.Upsert(*copy);
+  EXPECT_EQ(c.ApproxBytes(&shared), b_shared);
+
+  // A newer version is a new buffer (of equal length), counted on its own.
+  b.Upsert(MakeRecord(NodeId(0, 1), 2));
+  MetadataStore::CountedRecords both(4);
+  EXPECT_EQ(a.ApproxBytes(&both) + b.ApproxBytes(&both), 2 * a_alone);
+  EXPECT_EQ(both.size(), 2u);
 }
 
 // --- Query ---

@@ -45,6 +45,9 @@ void ExpectFixpoint(const WireMessage& msg) {
   ASSERT_NE(copy, nullptr);
   EXPECT_EQ(EncodeToBytes(*copy), bytes);
   EXPECT_EQ(copy->WireBytes(), msg.WireBytes());
+  // The counted size is the real encoding's.
+  EXPECT_EQ(msg.EncodedBytes(), bytes.size());
+  EXPECT_EQ(copy->EncodedBytes(), bytes.size());
 }
 
 // Every strict prefix of a valid encoding must fail to decode with a Status
@@ -87,6 +90,12 @@ Metadata TestMetadata() {
   m.availability.RecordDownPeriod(kHour, 5 * kHour);
   m.views.emplace_back("v_flows", TestResult());
   return m;
+}
+
+using ResultPtr = std::shared_ptr<const db::AggregateResult>;
+
+ResultPtr Shared(db::AggregateResult r) {
+  return std::make_shared<const db::AggregateResult>(std::move(r));
 }
 
 // --- Golden wire sizes -----------------------------------------------------
@@ -132,8 +141,169 @@ TEST(GoldenWireSizeTest, SeaweedMessageDefaults) {
   for (const auto& row : kGolden) {
     SeaweedMessage msg;
     msg.kind = row.kind;
+    // A push carries a built record; this one holds default metadata.
+    msg.metadata = MetadataRecord::Make(Metadata{});
     EXPECT_EQ(msg.EncodedBytes(), row.encoded_bytes)
         << "kind " << static_cast<int>(row.kind);
+  }
+}
+
+// --- Counted sizes ---------------------------------------------------------
+//
+// A message's size is counted (Writer::CountOnly), never encoded into a
+// buffer. For each case the count must equal the real encoding's length,
+// and the meter charge (WireBytes) is pinned to the value the buffer-
+// encoding sizer charged, so counting moved no byte of accounting.
+
+// One populated message of each kind.
+SeaweedMessagePtr PopulatedMessage(SeaweedMessage::Kind kind) {
+  auto msg = std::make_shared<SeaweedMessage>();
+  msg->kind = kind;
+  msg->query_id = NodeId(0x1234, 0x5678);
+  msg->vertex_id = NodeId(0x9abc, 0xdef0);
+  msg->child_key = NodeId(0x1111, 0x2222);
+  msg->version = 42;
+  msg->range = IdRange{NodeId(1, 0), NodeId(2, 0), false};
+  msg->parent = NodeHandle{NodeId(3, 3), 7};
+  switch (kind) {
+    case SeaweedMessage::Kind::kMetadataPush:
+      msg->metadata = MetadataRecord::Make(TestMetadata());
+      break;
+    case SeaweedMessage::Kind::kBroadcast:
+    case SeaweedMessage::Kind::kQueryList:
+      msg->queries.push_back(TestQuery());
+      msg->queries.push_back(TestQuery("SELECT SUM(bytes) FROM Flow"));
+      break;
+    case SeaweedMessage::Kind::kPredictorReport:
+      for (int i = 0; i < 40; ++i) msg->predictor.AddRowsAt(i * kHour, 25.0);
+      msg->result = TestResult();
+      break;
+    case SeaweedMessage::Kind::kResultSubmit:
+    case SeaweedMessage::Kind::kResultDeliver:
+      msg->result = TestResult();
+      break;
+    case SeaweedMessage::Kind::kVertexReplicate:
+      msg->replicas.push_back(
+          {NodeId(7, 7),
+           {{NodeId(7, 1), 1, Shared(TestResult())},
+            {NodeId(7, 2), 2, Shared(db::AggregateResult{})}}});
+      break;
+    case SeaweedMessage::Kind::kResultAck:
+    case SeaweedMessage::Kind::kQueryListRequest:
+    case SeaweedMessage::Kind::kQueryCancel:
+      break;
+  }
+  return msg;
+}
+
+// The counted size of `msg` equals its encoding's length, and it charges
+// `charged` bytes.
+void ExpectCountedSize(const std::string& what, const WireMessage& msg,
+                       uint32_t charged) {
+  const size_t encoded = EncodeToBytes(msg).size();
+  Writer counter(Writer::CountOnly{});
+  msg.Encode(counter);
+  EXPECT_EQ(counter.size(), encoded) << what;
+  EXPECT_TRUE(counter.bytes().empty()) << what;
+  EXPECT_EQ(msg.EncodedBytes(), encoded) << what;
+  EXPECT_EQ(msg.WireBytes(), charged) << what;
+}
+
+TEST(WireSizeTest, CountedSizeEqualsEncodedSize) {
+  using Kind = SeaweedMessage::Kind;
+  struct KindRow {
+    Kind kind;
+    uint32_t charged;
+  };
+  const KindRow kKinds[] = {
+      {Kind::kMetadataPush, 135},    {Kind::kBroadcast, 232},
+      {Kind::kPredictorReport, 425}, {Kind::kResultSubmit, 103},
+      {Kind::kResultAck, 58},        {Kind::kVertexReplicate, 135},
+      {Kind::kResultDeliver, 103},   {Kind::kQueryListRequest, 2},
+      {Kind::kQueryList, 163},       {Kind::kQueryCancel, 18},
+  };
+  for (const KindRow& row : kKinds) {
+    ExpectCountedSize("kind " + std::to_string(static_cast<int>(row.kind)),
+                      *PopulatedMessage(row.kind), row.charged);
+  }
+
+  // Every packet kind, bare and carrying a payload: the packet's count adds
+  // the payload's cached size, and its charge the payload's charge.
+  struct PacketRow {
+    uint32_t bare;
+    uint32_t with_payload;
+  };
+  const PacketRow kPackets[] = {{45, 147},  {65, 167},  {85, 187},
+                                {105, 207}, {125, 227}, {145, 247},
+                                {165, 267}, {185, 287}, {205, 307},
+                                {225, 327}};
+  for (int k = 0; k < 10; ++k) {
+    for (bool with_payload : {false, true}) {
+      Packet pkt;
+      pkt.kind = static_cast<Packet::Kind>(k);
+      pkt.src = NodeHandle{NodeId(1, 1), 2};
+      pkt.key = NodeId(2, 2);
+      pkt.entries.resize(static_cast<size_t>(k));
+      if (with_payload) {
+        pkt.app_payload = PopulatedMessage(Kind::kResultSubmit);
+      }
+      ExpectCountedSize("packet kind " + std::to_string(k) +
+                            (with_payload ? " with payload" : ""),
+                        pkt,
+                        with_payload ? kPackets[k].with_payload
+                                     : kPackets[k].bare);
+    }
+  }
+  {
+    // A payload that charges its declared size, not its encoding.
+    Packet padded;
+    padded.kind = Packet::Kind::kApp;
+    padded.app_payload = std::make_shared<PaddingMessage>(1000);
+    ExpectCountedSize("packet with padding", padded, 1044);
+  }
+
+  // A metadata push with views (as in kKinds) and a calibrated summary
+  // charge.
+  {
+    SeaweedMessage push;
+    push.kind = Kind::kMetadataPush;
+    push.metadata = MetadataRecord::Make(TestMetadata());
+    push.metadata_wire_bytes = 6473;
+    ExpectCountedSize("calibrated push", push, 6600);
+  }
+
+  // Replicated results that share a pointer, are equal copies, differ only
+  // in the sign of a zero (equal values, different bytes: both inlined), or
+  // hold NaN sums (unequal values, equal bytes: one back-reference).
+  db::AggregateResult pos_zero = TestResult();
+  db::AggregateResult neg_zero = TestResult();
+  neg_zero.states[0].sum = -0.0;
+  pos_zero.states[0].sum = 0.0;
+  db::AggregateResult nan = TestResult();
+  nan.states[0].sum = std::numeric_limits<double>::quiet_NaN();
+  const ResultPtr shared = Shared(TestResult());
+  struct ReplicateRow {
+    const char* what;
+    std::vector<ResultPtr> results;
+    uint32_t charged;
+  };
+  const ReplicateRow kReplicates[] = {
+      {"shared pointer", {shared, shared, shared}, 169},
+      {"equal copies",
+       {Shared(TestResult()), Shared(TestResult()), Shared(TestResult())},
+       169},
+      {"0.0 and -0.0", {Shared(pos_zero), Shared(neg_zero)}, 171},
+      {"NaN sums", {Shared(nan), Shared(nan), Shared(pos_zero)}, 206},
+  };
+  for (const ReplicateRow& row : kReplicates) {
+    SeaweedMessage rep;
+    rep.kind = Kind::kVertexReplicate;
+    rep.query_id = NodeId(1, 1);
+    for (size_t i = 0; i < row.results.size(); ++i) {
+      rep.replicas.push_back(
+          {NodeId(2, i), {{NodeId(3, i), i + 1, row.results[i]}}});
+    }
+    ExpectCountedSize(row.what, rep, row.charged);
   }
 }
 
@@ -210,18 +380,24 @@ TEST(PacketCodecTest, WireBytesSubstitutesPayloadCharge) {
 TEST(SeaweedCodecTest, MetadataPushRoundTrips) {
   SeaweedMessage msg;
   msg.kind = SeaweedMessage::Kind::kMetadataPush;
-  msg.metadata = TestMetadata();
+  msg.metadata = MetadataRecord::Make(TestMetadata());
   msg.metadata_wire_bytes = 6473;
 
   std::vector<uint8_t> bytes = EncodeToBytes(msg);
   auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(bytes));
   ASSERT_NE(copy, nullptr);
-  EXPECT_EQ(copy->metadata.owner, msg.metadata.owner);
-  EXPECT_EQ(copy->metadata.version, msg.metadata.version);
-  EXPECT_EQ(copy->metadata.availability, msg.metadata.availability);
-  ASSERT_EQ(copy->metadata.views.size(), 1u);
-  EXPECT_EQ(copy->metadata.views[0].first, "v_flows");
-  EXPECT_EQ(copy->metadata.views[0].second, msg.metadata.views[0].second);
+  const Metadata sent = msg.metadata.Decoded();
+  const Metadata got = copy->metadata.Decoded();
+  EXPECT_EQ(copy->metadata.owner, sent.owner);
+  EXPECT_EQ(copy->metadata.version, sent.version);
+  EXPECT_EQ(got.owner, sent.owner);
+  EXPECT_EQ(got.version, sent.version);
+  EXPECT_EQ(got.availability, sent.availability);
+  ASSERT_EQ(got.views.size(), 1u);
+  EXPECT_EQ(got.views[0].first, "v_flows");
+  EXPECT_EQ(got.views[0].second, sent.views[0].second);
+  EXPECT_EQ(*copy->metadata.bytes, *msg.metadata.bytes);
+  EXPECT_EQ(copy->metadata.summary_bytes, msg.metadata.summary_bytes);
   EXPECT_EQ(copy->metadata_wire_bytes, 6473u);
   // The calibrated charge survives the round trip.
   EXPECT_EQ(copy->WireBytes(), msg.WireBytes());
@@ -231,14 +407,14 @@ TEST(SeaweedCodecTest, MetadataPushRoundTrips) {
 TEST(SeaweedCodecTest, MetadataPushChargesCalibratedSummarySize) {
   SeaweedMessage plain;
   plain.kind = SeaweedMessage::Kind::kMetadataPush;
-  plain.metadata = TestMetadata();
+  plain.metadata = MetadataRecord::Make(TestMetadata());
   uint32_t encoded = plain.EncodedBytes();
   uint32_t summary_encoded =
-      static_cast<uint32_t>(plain.metadata.summary.EncodedBytes());
+      static_cast<uint32_t>(TestMetadata().summary.EncodedBytes());
 
   SeaweedMessage calibrated;
   calibrated.kind = SeaweedMessage::Kind::kMetadataPush;
-  calibrated.metadata = TestMetadata();
+  calibrated.metadata = MetadataRecord::Make(TestMetadata());
   calibrated.metadata_wire_bytes = 6473;
   // varint(6473) is 2 bytes; varint(0) is 1 — encoded sizes differ by 1.
   EXPECT_EQ(calibrated.WireBytes(),
@@ -349,12 +525,6 @@ TEST(SeaweedCodecTest, ResultPlaneKindsRoundTrip) {
     }
     EXPECT_EQ(EncodeToBytes(*copy), bytes);
   }
-}
-
-using ResultPtr = std::shared_ptr<const db::AggregateResult>;
-
-ResultPtr Shared(db::AggregateResult r) {
-  return std::make_shared<const db::AggregateResult>(std::move(r));
 }
 
 TEST(SeaweedCodecTest, VertexReplicateRoundTrips) {
@@ -538,7 +708,7 @@ TEST(CorruptInputTest, TruncationNeverCrashes) {
 
   SeaweedMessage push;
   push.kind = SeaweedMessage::Kind::kMetadataPush;
-  push.metadata = TestMetadata();
+  push.metadata = MetadataRecord::Make(TestMetadata());
   ExpectTruncationSafe(push);
 
   SeaweedMessage rep;
@@ -770,8 +940,10 @@ TEST(RandomizedFixpointTest, AllSeaweedKinds) {
     msg.range = IdRange{RandomId(rng), RandomId(rng), rng.NextBelow(4) == 0};
     msg.parent = RandomHandle(rng);
     msg.result = RandomResult(rng);
-    msg.metadata.owner = RandomId(rng);
-    msg.metadata.version = rng.Next();
+    Metadata metadata;
+    metadata.owner = RandomId(rng);
+    metadata.version = rng.Next();
+    msg.metadata = MetadataRecord::Make(metadata);
     if (msg.kind == SeaweedMessage::Kind::kMetadataPush &&
         rng.NextBelow(2) == 0) {
       msg.metadata_wire_bytes = static_cast<uint32_t>(rng.NextBelow(10000));
