@@ -4,6 +4,8 @@
 // execution, and serialization.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "anemone/anemone.h"
 #include "bench/bench_util.h"
 #include "common/sha1.h"
@@ -435,6 +437,41 @@ void BM_AggregateResultSerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AggregateResultSerialize);
+
+// A vertex folding two children of the query_mix `GROUP BY SrcPort` query
+// (SELECT SrcPort, COUNT(*), SUM(Bytes)): ~5.5k groups each, keyed on ports
+// drawn from 0..65535, into a fresh merged result.
+void BM_AggregateMergeGroups(benchmark::State& state) {
+  Rng rng(11);
+  auto child = [&rng] {
+    std::vector<int64_t> ports;
+    for (int i = 0; i < 5500; ++i) {
+      ports.push_back(static_cast<int64_t>(rng.NextBelow(65536)));
+    }
+    std::sort(ports.begin(), ports.end());
+    ports.erase(std::unique(ports.begin(), ports.end()), ports.end());
+    db::AggregateResult r;
+    r.states.resize(3);
+    for (int64_t port : ports) {
+      std::vector<db::AggState> states(3);
+      states[1].AddCountOnly();
+      states[2].Add(static_cast<double>(port * 40));
+      r.groups.emplace_back(db::Value(port), std::move(states));
+    }
+    r.rows_matched = static_cast<int64_t>(ports.size());
+    r.endsystems = 1;
+    return r;
+  };
+  const db::AggregateResult a = child();
+  const db::AggregateResult b = child();
+  for (auto _ : state) {
+    db::AggregateResult merged;
+    merged.Merge(a);
+    merged.Merge(b);
+    benchmark::DoNotOptimize(merged.groups.data());
+  }
+}
+BENCHMARK(BM_AggregateMergeGroups);
 
 // Console reporter that also captures (name, real time) per run so the
 // results can be exported through the standard SEAWEED_BENCH_OUT channel.

@@ -173,18 +173,21 @@ sketch_smoke() {
   echo "sketch outputs bit-identical through the wire codec"
 }
 
-# Codec bench smoke: bench/micro_core's codec benchmarks, each once with a
-# minimal min-time. Their fixtures SEAWEED_CHECK every round trip, so a
-# fixture the codec no longer accepts fails here instead of rotting in a
-# binary nothing else runs.
+# Codec bench smoke: bench/micro_core's codec benchmarks, and the grouped
+# merge kernel's, each once with a minimal min-time. The codec fixtures
+# SEAWEED_CHECK every round trip, so a fixture the codec no longer accepts
+# fails here instead of rotting in a binary nothing else runs; under the
+# sanitizers the merge benchmark runs the linear group merge on 5.5k-group
+# inputs.
 codec_bench_smoke() {
   local build="$1"
   local benchbin="$build/bench/micro_core"
   require_binary "$benchbin"
   echo "--- codec bench smoke ($build) ---"
-  "$benchbin" --benchmark_filter='BM_(EncodeDecode|WireBytes)' \
+  "$benchbin" \
+      --benchmark_filter='BM_(EncodeDecode|WireBytes|AggregateMergeGroups)' \
       --benchmark_min_time=0.001 > "$build/micro_core_smoke.out"
-  echo "$(grep -c 'BM_' "$build/micro_core_smoke.out") codec benchmarks ran"
+  echo "$(grep -c 'BM_' "$build/micro_core_smoke.out") benchmarks ran"
 }
 
 # Multi-process loopback differential: 3 seaweedd shards over real UDP

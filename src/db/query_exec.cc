@@ -318,6 +318,58 @@ Result<AggState> AggState::Decode(Reader& r) {
   return s;
 }
 
+namespace {
+
+using Groups = decltype(AggregateResult::groups);
+
+// Merges `other` into `groups`, both sorted by key.
+void MergeSortedGroups(Groups& groups, const Groups& other) {
+  // One forward walk merges the keys both hold and counts the others' new
+  // keys; if there are any, one backward walk widens `groups` in place,
+  // moving our groups to their final positions and creating each new one
+  // as a fresh group merged with the incoming states (what GroupStates +
+  // Merge give). O(n + m) either way, where inserting key by key shifts
+  // the tail once per new key.
+  auto merge_into = [](std::vector<AggState>& mine,
+                       const std::vector<AggState>& theirs) {
+    SEAWEED_CHECK_MSG(mine.size() == theirs.size(),
+                      "merging groups of different arity");
+    for (size_t i = 0; i < mine.size(); ++i) mine[i].Merge(theirs[i]);
+  };
+  size_t fresh = 0;
+  for (size_t i = 0, j = 0; j < other.size();) {
+    if (i < groups.size() && groups[i].first < other[j].first) {
+      ++i;
+    } else if (i < groups.size() && groups[i].first == other[j].first) {
+      merge_into(groups[i++].second, other[j++].second);
+    } else {
+      ++fresh;
+      ++j;
+    }
+  }
+  size_t i = groups.size();
+  size_t j = other.size();
+  groups.resize(groups.size() + fresh);
+  // While new keys remain, the write position is past our last unplaced
+  // group; once none remain, the rest of ours is already in place.
+  for (size_t w = groups.size(); fresh > 0;) {
+    auto& slot = groups[--w];
+    if (i > 0 && !(groups[i - 1].first < other[j - 1].first)) {
+      // Ours sorts last; on a tie the pair was merged above.
+      if (groups[i - 1].first == other[j - 1].first) --j;
+      slot = std::move(groups[--i]);
+    } else {
+      const auto& [key, theirs] = other[--j];
+      slot.first = key;
+      slot.second.assign(theirs.size(), AggState{});
+      merge_into(slot.second, theirs);
+      --fresh;
+    }
+  }
+}
+
+}  // namespace
+
 void AggregateResult::Merge(const AggregateResult& other) {
   if (states.empty()) {
     states = other.states;
@@ -328,14 +380,7 @@ void AggregateResult::Merge(const AggregateResult& other) {
       states[i].Merge(other.states[i]);
     }
   }
-  for (const auto& [key, other_states] : other.groups) {
-    auto& mine = GroupStates(key, other_states.size());
-    SEAWEED_CHECK_MSG(mine.size() == other_states.size(),
-                      "merging groups of different arity");
-    for (size_t i = 0; i < mine.size(); ++i) {
-      mine[i].Merge(other_states[i]);
-    }
-  }
+  MergeSortedGroups(groups, other.groups);
   rows_matched += other.rows_matched;
   endsystems += other.endsystems;
 }

@@ -7,17 +7,7 @@ namespace seaweed::overlay {
 std::vector<NodeHandle> Leafset::All() const {
   std::vector<NodeHandle> out;
   out.reserve(cw_.size() + ccw_.size());
-  out.insert(out.end(), cw_.begin(), cw_.end());
-  for (const auto& h : ccw_) {
-    bool dup = false;
-    for (const auto& seen : cw_) {
-      if (seen.id == h.id) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) out.push_back(h);
-  }
+  ForEachMember([&out](const NodeHandle& h) { out.push_back(h); });
   return out;
 }
 
@@ -27,14 +17,17 @@ bool Leafset::Insert(const NodeHandle& node) {
   // same neighbor is simultaneously among the l/2 closest clockwise and
   // counter-clockwise members (with two nodes, each is the other's cw AND
   // ccw neighbor). The sides are therefore maintained independently.
+  // Distances from the owner are distinct per id, so a node at exactly the
+  // edge distance is the edge member itself.
   bool changed = false;
   NodeId cw_dist = owner_.ClockwiseDistanceTo(node.id);
   NodeId ccw_dist = node.id.ClockwiseDistanceTo(owner_);
-  bool in_cw = false;
-  for (const auto& h : cw_) {
-    if (h.id == node.id) in_cw = true;
-  }
-  if (!in_cw) {
+  const bool cw_rejects =
+      static_cast<int>(cw_.size()) >= half_ && !(cw_dist < cw_edge_);
+  const bool ccw_rejects =
+      static_cast<int>(ccw_.size()) >= half_ && !(ccw_dist < ccw_edge_);
+  if (cw_rejects && ccw_rejects) return false;
+  if (!cw_rejects && !InSide(cw_, node.id)) {
     auto pos = std::lower_bound(
         cw_.begin(), cw_.end(), cw_dist,
         [this](const NodeHandle& h, const NodeId& d) {
@@ -45,11 +38,7 @@ bool Leafset::Insert(const NodeHandle& node) {
       changed = true;
     }
   }
-  bool in_ccw = false;
-  for (const auto& h : ccw_) {
-    if (h.id == node.id) in_ccw = true;
-  }
-  if (!in_ccw) {
+  if (!ccw_rejects && !InSide(ccw_, node.id)) {
     auto pos = std::lower_bound(
         ccw_.begin(), ccw_.end(), ccw_dist,
         [this](const NodeHandle& h, const NodeId& d) {
@@ -60,13 +49,22 @@ bool Leafset::Insert(const NodeHandle& node) {
       changed = true;
     }
   }
-  Trim();
+  if (changed) {
+    Trim();
+    UpdateEdges();
+  }
   return changed;
 }
 
 void Leafset::Trim() {
   if (static_cast<int>(cw_.size()) > half_) cw_.resize(static_cast<size_t>(half_));
   if (static_cast<int>(ccw_.size()) > half_) ccw_.resize(static_cast<size_t>(half_));
+}
+
+void Leafset::UpdateEdges() {
+  cw_edge_ = cw_.empty() ? NodeId() : owner_.ClockwiseDistanceTo(cw_.back().id);
+  ccw_edge_ =
+      ccw_.empty() ? NodeId() : ccw_.back().id.ClockwiseDistanceTo(owner_);
 }
 
 bool Leafset::Remove(const NodeId& id) {
@@ -81,17 +79,12 @@ bool Leafset::Remove(const NodeId& id) {
   };
   bool in_cw = rm(cw_);
   bool in_ccw = rm(ccw_);
+  if (in_cw || in_ccw) UpdateEdges();
   return in_cw || in_ccw;
 }
 
 bool Leafset::Contains(const NodeId& id) const {
-  for (const auto& h : cw_) {
-    if (h.id == id) return true;
-  }
-  for (const auto& h : ccw_) {
-    if (h.id == id) return true;
-  }
-  return false;
+  return InSide(cw_, id) || InSide(ccw_, id);
 }
 
 std::optional<NodeHandle> Leafset::CloserMemberThanOwner(

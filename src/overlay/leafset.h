@@ -27,12 +27,22 @@ class Leafset {
 
   // All members, no particular order guarantees beyond side grouping.
   std::vector<NodeHandle> All() const;
+  // Calls fn(member) for each member once, in All()'s order, without
+  // allocating. `fn` must not change this leafset.
+  template <typename Fn>
+  void ForEachMember(Fn fn) const {
+    for (const NodeHandle& h : cw_) fn(h);
+    for (const NodeHandle& h : ccw_) {
+      if (!InSide(cw_, h.id)) fn(h);
+    }
+  }
 
   size_t size() const { return cw_.size() + ccw_.size(); }
   bool empty() const { return cw_.empty() && ccw_.empty(); }
 
   // Inserts a node (no-op for the owner itself or existing members).
-  // Returns true if the leafset changed.
+  // Returns true if the leafset changed. A full side rejects a node no
+  // closer than its edge member without reading the side.
   bool Insert(const NodeHandle& node);
 
   // Removes a node by id. Returns true if present.
@@ -65,7 +75,15 @@ class Leafset {
   }
 
  private:
+  static bool InSide(const std::vector<NodeHandle>& side, const NodeId& id) {
+    for (const NodeHandle& h : side) {
+      if (h.id == id) return true;
+    }
+    return false;
+  }
   void Trim();
+  // Recomputes the cached edge distances after a side changed.
+  void UpdateEdges();
 
   NodeId owner_;
   int half_;
@@ -73,6 +91,10 @@ class Leafset {
   std::vector<NodeHandle> cw_;
   // Sorted by counter-clockwise distance from owner (nearest first).
   std::vector<NodeHandle> ccw_;
+  // Distance from the owner to each side's farthest member (0 when the
+  // side is empty): a full side admits only nodes strictly closer.
+  NodeId cw_edge_;
+  NodeId ccw_edge_;
 };
 
 }  // namespace seaweed::overlay

@@ -141,10 +141,12 @@ void PastryNode::Learn(const NodeHandle& node) {
   // certificate); only direct contact (HandlePacket/NoteHeartbeat erase the
   // obituary first) can resurrect them. Without this, stale leafset gossip
   // keeps re-inserting failed nodes faster than detection evicts them.
-  const SimTime* ob = obituaries_.Find(node.id);
-  if (ob != nullptr) {
-    if (net_->simulator()->Now() < *ob) return;
-    obituaries_.Erase(node.id);
+  if (!obituaries_.empty()) {
+    const SimTime* ob = obituaries_.Find(node.id);
+    if (ob != nullptr) {
+      if (net_->simulator()->Now() < *ob) return;
+      obituaries_.Erase(node.id);
+    }
   }
   bool added = leafset_.Insert(node);
   routing_table_.Insert(node);
@@ -244,7 +246,7 @@ void PastryNode::HandlePacket(EndsystemIndex from,
   (void)from;
   // Opportunistically learn about the packet source. Direct contact is
   // proof of life, so any obituary is void.
-  obituaries_.Erase(pkt->src.id);
+  if (!obituaries_.empty()) obituaries_.Erase(pkt->src.id);
   last_heard_.Put(pkt->src.id, net_->simulator()->Now());
   Learn(pkt->src);
 
@@ -351,16 +353,18 @@ void PastryNode::OnSendFailed(const NodeHandle& dead,
 
 void PastryNode::NoteHeartbeat(const NodeHandle& from) {
   if (!up_) return;
-  obituaries_.Erase(from.id);
+  if (!obituaries_.empty()) obituaries_.Erase(from.id);
   last_heard_.Put(from.id, net_->simulator()->Now());
   Learn(from);
 }
 
 void PastryNode::HeartbeatTick(uint64_t generation) {
   if (generation != generation_ || !up_) return;
-  for (const auto& member : leafset_.All()) {
-    net_->FastHeartbeat(self_, member);
-  }
+  // Iterating the leafset in place is safe: FastHeartbeat updates the
+  // receiver's state, never ours, and anything it sends back arrives as a
+  // later event.
+  leafset_.ForEachMember(
+      [this](const NodeHandle& member) { net_->FastHeartbeat(self_, member); });
   CheckFailures();
   // Isolation recovery: if a churn storm evicted every leafset member we
   // are a zombie — still nominally joined but connected to nobody, with no

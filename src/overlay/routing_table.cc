@@ -5,7 +5,11 @@
 namespace seaweed::overlay {
 
 RoutingTable::RoutingTable(const NodeId& owner, int b)
-    : owner_(owner), b_(b), rows_(kIdBits / b), cols_(1 << b) {}
+    : owner_(owner),
+      b_(b),
+      rows_(kIdBits / b),
+      cols_(1 << b),
+      occupied_((static_cast<size_t>(rows_ * cols_) + 63) / 64) {}
 
 std::vector<RoutingTable::Entry>::const_iterator RoutingTable::LowerBound(
     uint16_t slot) const {
@@ -16,9 +20,8 @@ std::vector<RoutingTable::Entry>::const_iterator RoutingTable::LowerBound(
 
 std::optional<NodeHandle> RoutingTable::At(int row, int col) const {
   uint16_t slot = SlotOf(row, col);
-  auto it = LowerBound(slot);
-  if (it == entries_.end() || it->slot != slot) return std::nullopt;
-  return it->node;
+  if (!Occupied(slot)) return std::nullopt;
+  return LowerBound(slot)->node;
 }
 
 bool RoutingTable::Insert(const NodeHandle& node) {
@@ -27,11 +30,9 @@ bool RoutingTable::Insert(const NodeHandle& node) {
   if (row >= rows_) return false;  // same id (already excluded)
   int col = node.id.Digit(row, b_);
   uint16_t slot = SlotOf(row, col);
-  auto it = LowerBound(slot);
-  if (it != entries_.end() && it->slot == slot) {
-    return false;  // keep existing entry
-  }
-  entries_.insert(it, Entry{slot, node});
+  if (Occupied(slot)) return false;  // keep existing entry
+  entries_.insert(LowerBound(slot), Entry{slot, node});
+  SetOccupied(slot, true);
   return true;
 }
 
@@ -40,12 +41,12 @@ bool RoutingTable::Remove(const NodeId& id) {
   if (row >= rows_) return false;
   int col = id.Digit(row, b_);
   uint16_t slot = SlotOf(row, col);
+  if (!Occupied(slot)) return false;
   auto it = LowerBound(slot);
-  if (it != entries_.end() && it->slot == slot && it->node.id == id) {
-    entries_.erase(it);
-    return true;
-  }
-  return false;
+  if (it->node.id != id) return false;
+  entries_.erase(it);
+  SetOccupied(slot, false);
+  return true;
 }
 
 std::optional<NodeHandle> RoutingTable::NextHop(const NodeId& key) const {
@@ -102,7 +103,8 @@ std::vector<NodeHandle> RoutingTable::Row(int row) const {
 }
 
 size_t RoutingTable::ApproxBytes() const {
-  return entries_.capacity() * sizeof(Entry);
+  return entries_.capacity() * sizeof(Entry) +
+         occupied_.capacity() * sizeof(uint64_t);
 }
 
 }  // namespace seaweed::overlay

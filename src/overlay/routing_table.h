@@ -7,6 +7,9 @@
 // of 512 slots (b=4), so the dense grid of optional<NodeHandle> wastes ~16KB
 // per node — 16GB at a million endsystems. The sorted vector costs ~24 bytes
 // per populated entry; lookups are binary searches over a few cache lines.
+// A bitmap of occupied slots (one bit per slot: 512 bits at b = 4, 4,096 at
+// b = 8) answers "is this slot empty?" before any search, so the common
+// learn-path Insert of a node whose slot is already taken costs no search.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +65,7 @@ class RoutingTable {
 
   size_t num_entries() const { return entries_.size(); }
 
-  // Heap bytes held by the table.
+  // Heap bytes held by the table (entries and occupancy bitmap).
   size_t ApproxBytes() const;
 
  private:
@@ -76,12 +79,21 @@ class RoutingTable {
   }
   // First entry with entry.slot >= slot.
   std::vector<Entry>::const_iterator LowerBound(uint16_t slot) const;
+  bool Occupied(uint16_t slot) const {
+    return (occupied_[slot >> 6] >> (slot & 63)) & 1;
+  }
+  void SetOccupied(uint16_t slot, bool on) {
+    const uint64_t bit = uint64_t{1} << (slot & 63);
+    occupied_[slot >> 6] = on ? occupied_[slot >> 6] | bit
+                              : occupied_[slot >> 6] & ~bit;
+  }
 
   NodeId owner_;
   int b_;
   int rows_;
   int cols_;
   std::vector<Entry> entries_;  // sorted by slot; only populated slots
+  std::vector<uint64_t> occupied_;  // bit per slot: set iff in entries_
 };
 
 }  // namespace seaweed::overlay

@@ -173,16 +173,14 @@ void SeaweedCluster::PublishStatsGauges() {
   obs_.metrics.GetGauge("mem.overlay.routing_bytes")
       ->Set(static_cast<int64_t>(overlay_->ApproxRoutingBytes()));
   uint64_t meta_records = 0;
-  for (const auto& node : seaweed_) {
-    meta_records += node->metadata_store().size();
-  }
-  // A record buffer is shared by its owner's replicas: count it once.
-  MetadataStore::CountedRecords counted(meta_records);
-  uint64_t meta_bytes = 0;
+  // A record buffer is shared by its owner's replicas: the census counts
+  // it once.
+  uint64_t meta_bytes = seaweed_metrics_.meta_census->buffer_bytes();
   uint64_t vertices = 0;
   uint64_t vertex_bytes = 0;
   for (const auto& node : seaweed_) {
-    meta_bytes += node->metadata_store().ApproxBytes(&counted);
+    meta_records += node->metadata_store().size();
+    meta_bytes += node->metadata_store().TableBytes();
     const SeaweedNode::VertexFootprint v = node->vertex_footprint();
     vertices += v.vertices;
     vertex_bytes += v.bytes;

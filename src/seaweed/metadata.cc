@@ -62,14 +62,47 @@ Metadata MetadataRecord::Decoded() const {
   return std::move(decoded).value();
 }
 
+void RecordCensus::Add(const MetadataRecord& record) {
+  Count& c = counts_[Key{record.owner, record.version}];
+  if (c.refs++ == 0) {
+    c.bytes = sizeof(*record.bytes) + record.bytes->capacity();
+    buffer_bytes_ += c.bytes;
+  }
+}
+
+void RecordCensus::Remove(const MetadataRecord& record) {
+  auto it = counts_.find(Key{record.owner, record.version});
+  SEAWEED_CHECK_MSG(it != counts_.end(), "census lost a metadata record");
+  if (--it->second.refs > 0) return;
+  buffer_bytes_ -= it->second.bytes;
+  counts_.erase(it);
+}
+
+void MetadataStore::AttachCensus(RecordCensus* census) {
+  SEAWEED_CHECK_MSG(records_.empty(), "census attached to a filled store");
+  census_ = census;
+}
+
+void MetadataStore::Clear() {
+  if (census_ != nullptr) {
+    for (const auto& [owner, rec] : records_) census_->Remove(rec);
+  }
+  records_.Clear();
+}
+
 bool MetadataStore::Upsert(const MetadataRecord& record) {
   Record* rec = records_.Find(record.owner);
   if (rec == nullptr) {
     records_.Put(record.owner, Record{record, /*down_since=*/-1,
                                       /*acquired_at=*/now_});
+    if (census_ != nullptr) census_->Add(record);
     return true;
   }
   if (record.version < rec->version) return false;
+  if (census_ != nullptr && record.version != rec->version) {
+    census_->Remove(*rec);
+    census_->Add(record);
+  }
   static_cast<MetadataRecord&>(*rec) = record;
   rec->down_since = -1;  // a push implies the owner is alive
   return true;

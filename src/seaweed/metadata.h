@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -67,6 +68,40 @@ struct MetadataRecord {
   Metadata Decoded() const;
 };
 
+// The record buffers held by a set of stores (one process's, or one
+// simulated cluster's): a reference count per (owner, version), kept as the
+// stores add, replace and drop records, and the heap bytes of one buffer per
+// counted version. One version has one record, whose buffer every replica in
+// the process shares, so this is what the stores' buffers cost. Keyed on the
+// version, not the buffer, the sum does not depend on whether a transport
+// decoded each replica a copy.
+class RecordCensus {
+ public:
+  void Add(const MetadataRecord& record);
+  void Remove(const MetadataRecord& record);
+  // Distinct (owner, version) pairs held, and their buffers' heap bytes.
+  size_t versions() const { return counts_.size(); }
+  size_t buffer_bytes() const { return buffer_bytes_; }
+
+ private:
+  struct Key {
+    NodeId owner;
+    uint64_t version;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      return NodeIdHash()(k.owner) ^ (k.version * 0x9e3779b97f4a7c15ULL);
+    }
+  };
+  struct Count {
+    uint32_t refs = 0;
+    size_t bytes = 0;  // of the buffer the first reference brought
+  };
+  std::unordered_map<Key, Count, KeyHash> counts_;
+  size_t buffer_bytes_ = 0;
+};
+
 // Store of metadata replicas held by one endsystem, with the observed
 // down-time bookkeeping (§3.2.1: "When a member y of the replica set notices
 // that an endsystem x is unavailable, it records the time at which this
@@ -88,6 +123,16 @@ class MetadataStore {
     // owners learned via anti-entropy that we never saw alive).
     SimTime acquired_at = 0;
   };
+
+  MetadataStore() = default;
+  // A store reports to its census until destroyed, so it is not copied.
+  MetadataStore(const MetadataStore&) = delete;
+  MetadataStore& operator=(const MetadataStore&) = delete;
+  ~MetadataStore() { Clear(); }
+
+  // Reports every record this store adds, replaces or drops to `census`,
+  // which must outlive the store. Call while the store is empty.
+  void AttachCensus(RecordCensus* census);
 
   // Sets the clock used to stamp acquired_at on insert.
   void SetNow(SimTime now) { now_ = now; }
@@ -116,12 +161,18 @@ class MetadataStore {
   // `keep` is called with each owner id and its record; false means evict.
   template <typename KeepFn>
   size_t EvictIf(KeepFn keep) {
-    return records_.EraseIf(
-        [&](const NodeId& owner, const Record& rec) { return !keep(owner, rec); });
+    return records_.EraseIf([&](const NodeId& owner, const Record& rec) {
+      if (keep(owner, rec)) return false;
+      if (census_ != nullptr) census_->Remove(rec);
+      return true;
+    });
   }
 
   size_t size() const { return records_.size(); }
-  void Clear() { records_.Clear(); }
+  void Clear();
+
+  // Heap bytes of the record table alone (the buffers are the census's).
+  size_t TableBytes() const { return records_.ApproxBytes(); }
 
   // The (owner, version) of each record buffer counted so far: a flat
   // open-addressing table, since a cluster-wide count visits every record
@@ -146,14 +197,14 @@ class MetadataStore {
 
   // Heap bytes held by the store: its record table, plus the buffer of
   // each record whose (owner, version) is not yet in `counted` (which
-  // collects them). One version has one record, whose buffer every replica
-  // in the process shares, so stores that pass the same set count it once.
-  // Keyed on the version, not the buffer, the sum does not depend on
-  // whether a transport decoded each replica a copy.
+  // collects them), so stores that pass the same set count a version once:
+  // a full walk giving what TableBytes() plus a RecordCensus keep as they
+  // go.
   size_t ApproxBytes(CountedRecords* counted) const;
 
  private:
   FlatMap<NodeId, Record> records_;
+  RecordCensus* census_ = nullptr;
   SimTime now_ = 0;
 };
 

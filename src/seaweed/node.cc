@@ -99,6 +99,7 @@ SeaweedNode::SeaweedNode(overlay::OverlayNetwork* overlay,
       metrics_(metrics),
       rng_(pastry->id().lo() ^ 0xc0ffee) {
   pastry_->set_app(this);
+  metadata_.AttachCensus(metrics_->meta_census.get());
   obs::Observability* o = overlay_->obs();
   tracer_ = &o->trace;
   plan_cache_.AttachMetrics(&o->metrics);
@@ -1123,7 +1124,7 @@ void SeaweedNode::SubmitLeafResult(const NodeId& query_id) {
     // views converge; the vertexId, and so the tree shape, is the same
     // either way.
     if (cancelled_.count(query_id) == 0) {
-      ApplyChild(aq, vertex, aq.vertices[vertex], id(), aq.leaf.version,
+      ApplyChild(aq, aq.vertices.Emplace(vertex).first, id(), aq.leaf.version,
                  aq.leaf_result);
     }
     aq.leaf.pending_version = 0;
@@ -1159,8 +1160,8 @@ void SeaweedNode::SubmitToParent(ActiveQuery& aq, const NodeId& parent,
 SeaweedNode::SubmitState* SeaweedNode::FindSubmitState(ActiveQuery& aq,
                                                        const NodeId& child) {
   if (child == id()) return &aq.leaf;
-  auto vit = aq.vertices.find(child);
-  return vit == aq.vertices.end() ? nullptr : &vit->second.submit;
+  const VertexSlot slot = aq.vertices.Find(child);
+  return slot == VertexTable::kNone ? nullptr : &aq.vertices[slot].submit;
 }
 
 void SeaweedNode::OnAckTimeout(const NodeId& query_id, const NodeId& child,
@@ -1190,7 +1191,7 @@ void SeaweedNode::OnAckTimeout(const NodeId& query_id, const NodeId& child,
   } else {
     // Re-merged with a fresh version, so dedup at the parent keeps the
     // retries exactly-once.
-    PropagateVertex(aq, child, aq.vertices.find(child)->second);
+    PropagateVertex(aq, aq.vertices.Find(child));
   }
 }
 
@@ -1249,7 +1250,8 @@ void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
     ack->version = msg->version;
     SendSeaweed(from, ack, TrafficCategory::kResult);
   }
-  ApplyChild(aq, vertex, aq.vertices[vertex], msg->child_key, msg->version,
+  ApplyChild(aq, aq.vertices.Emplace(vertex).first, msg->child_key,
+             msg->version,
              std::make_shared<const db::AggregateResult>(msg->result));
 }
 
@@ -1290,44 +1292,48 @@ void SeaweedNode::RefreshQuery(const NodeId& query_id, uint64_t serial) {
   }
   // Only the current primary speaks for a vertex; a backup that took one
   // over is refreshed like any other.
-  for (auto& [vertex_id, state] : aq.vertices) {
-    if (state.children.empty() || !IsLikelyRootFor(vertex_id)) continue;
+  for (VertexSlot slot = 0; slot < aq.vertices.size(); ++slot) {
+    if (aq.vertices[slot].children.empty() ||
+        !IsLikelyRootFor(aq.vertices.id(slot))) {
+      continue;
+    }
     metrics_->vertex_repropagations->Add();
-    MarkVertexDirty(aq, vertex_id, state);
+    MarkVertexDirty(aq, slot);
   }
 }
 
-void SeaweedNode::ApplyChild(ActiveQuery& aq, const NodeId& vertex_id,
-                             VertexState& state, const NodeId& child,
-                             uint64_t version, ResultPtr result) {
-  ChildEntry* entry =
-      AdvanceChild(state.children, child, version, aq.vertex_vector_bytes);
+void SeaweedNode::ApplyChild(ActiveQuery& aq, VertexSlot vertex,
+                             const NodeId& child, uint64_t version,
+                             ResultPtr result) {
+  ChildEntry* entry = AdvanceChild(aq.vertices[vertex].children, child,
+                                   version, aq.vertex_vector_bytes);
   if (entry == nullptr) {
     metrics_->duplicates_suppressed->Add();
     return;
   }
   entry->result = std::move(result);
   metrics_->vertex_updates->Add();
-  OnVertexUpdated(aq, vertex_id, state, *entry);
+  OnVertexUpdated(aq, vertex, *entry);
 }
 
-void SeaweedNode::OnVertexUpdated(ActiveQuery& aq, const NodeId& vertex_id,
-                                  VertexState& state,
+void SeaweedNode::OnVertexUpdated(ActiveQuery& aq, VertexSlot vertex,
                                   const ChildEntry& changed) {
   // Inside a fold pass the replication joins the pass's per-backup
   // messages; a submit outside one replicates before it returns.
-  ReplicateVertex(aq, vertex_id, state, changed);
+  ReplicateVertex(aq, vertex, changed);
   if (!aq.folding) FlushReplicates(aq);
-  MarkVertexDirty(aq, vertex_id, state);
+  MarkVertexDirty(aq, vertex);
 }
 
-void SeaweedNode::MarkVertexDirty(ActiveQuery& aq, const NodeId& vertex_id,
-                                  VertexState& state) {
+void SeaweedNode::MarkVertexDirty(ActiveQuery& aq, VertexSlot vertex) {
+  VertexState& state = aq.vertices[vertex];
   if (state.dirty) return;
   state.dirty = true;
   const NodeId& qid = aq.query.query_id;
+  const NodeId& vertex_id = aq.vertices.id(vertex);
   aq.fold_queue.emplace_back(
-      vertex_id.CommonPrefixLength(qid, pastry_->config().b), vertex_id);
+      vertex_id.CommonPrefixLength(qid, pastry_->config().b), vertex_id,
+      vertex);
   std::push_heap(aq.fold_queue.begin(), aq.fold_queue.end(), std::greater<>());
   if (aq.fold_scheduled || aq.folding) return;
   aq.fold_scheduled = true;
@@ -1346,31 +1352,29 @@ void SeaweedNode::RunFoldPass(const NodeId& query_id) {
   if (aq.fold_queue.empty()) return;
   metrics_->fold_passes->Add();
   aq.folding = true;
-  VertexState* root = nullptr;
+  VertexSlot root = VertexTable::kNone;
   while (!aq.fold_queue.empty()) {
     std::pop_heap(aq.fold_queue.begin(), aq.fold_queue.end(),
                   std::greater<>());
-    const NodeId vertex = aq.fold_queue.back().second;
+    const VertexSlot vertex = std::get<VertexSlot>(aq.fold_queue.back());
     aq.fold_queue.pop_back();
-    VertexState& state = aq.vertices.find(vertex)->second;
-    state.dirty = false;
+    aq.vertices[vertex].dirty = false;
     metrics_->fold_vertices->Add();
-    if (vertex == query_id) {
+    if (aq.vertices.id(vertex) == query_id) {
       // The root sorts last: nothing is left to fold into it.
-      root = &state;
+      root = vertex;
       break;
     }
-    PropagateVertex(aq, vertex, state);
+    PropagateVertex(aq, vertex);
   }
   aq.folding = false;
   FlushReplicates(aq);
   // Last, because delivery may run the origin's observer, which can end the
   // query and erase `aq`.
-  if (root != nullptr) PropagateVertex(aq, query_id, *root);
+  if (root != VertexTable::kNone) PropagateVertex(aq, root);
 }
 
-void SeaweedNode::ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
-                                  VertexState& state,
+void SeaweedNode::ReplicateVertex(ActiveQuery& aq, VertexSlot vertex,
                                   const ChildEntry& changed) {
   // Replicas: the m leafset members closest to the vertexId, nearest first,
   // found in one scan of the leafset. A backup that has the baseline
@@ -1378,6 +1382,8 @@ void SeaweedNode::ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
   // would cost O(fan-in) per update); a backup seen for the first time gets
   // the full state, otherwise it would reconstruct a partial subtree after
   // primary failover.
+  const NodeId& vertex_id = aq.vertices.id(vertex);
+  VertexState& state = aq.vertices[vertex];
   const size_t m = static_cast<size_t>(config_.vertex_backups);
   auto& closest = closest_scratch_;
   closest.clear();
@@ -1398,8 +1404,17 @@ void SeaweedNode::ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
     for (const NodeHandle& member : pastry_->leafset().cw()) consider(member);
     for (const NodeHandle& member : pastry_->leafset().ccw()) consider(member);
   }
-  for (const auto& [dist, member] : closest) {
-    const NodeHandle& backup = *member;
+  // The scan is a pure function of the leafset, which nothing in a pass
+  // changes, so every call in a pass picks the same backups in the same
+  // order: the first appends the vertex to each backup's message and
+  // records where, and later calls append their entries there.
+  const bool first_in_pass = state.replica_slots_at == 0;
+  if (first_in_pass) {
+    state.replica_slots_at = static_cast<uint32_t>(aq.replica_slots.size()) + 1;
+    aq.replicated.push_back(vertex);
+  }
+  for (size_t j = 0; j < closest.size(); ++j) {
+    const NodeHandle& backup = *closest[j].second;
     auto out = std::find_if(aq.replicates.begin(), aq.replicates.end(),
                             [&backup](const PendingReplicate& p) {
                               return p.backup.id == backup.id;
@@ -1408,13 +1423,19 @@ void SeaweedNode::ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
       auto msg = std::make_shared<SeaweedMessage>();
       msg->kind = SeaweedMessage::Kind::kVertexReplicate;
       msg->query_id = aq.query.query_id;
-      aq.replicates.push_back({backup, std::move(msg), {}});
+      aq.replicates.push_back({backup, std::move(msg)});
       out = aq.replicates.end() - 1;
     }
     auto& replicas = out->msg->replicas;
-    auto [slot, fresh] = out->index.emplace(vertex_id, replicas.size());
-    if (fresh) replicas.push_back({vertex_id, {}});
-    auto& entries = replicas[slot->second].entries;
+    if (first_in_pass) {
+      aq.replica_slots.push_back(static_cast<uint32_t>(replicas.size()));
+      replicas.push_back({vertex_id, {}});
+    }
+    const size_t at = state.replica_slots_at - 1 + j;
+    SEAWEED_DCHECK(at < aq.replica_slots.size() &&
+                   aq.replica_slots[at] < replicas.size() &&
+                   replicas[aq.replica_slots[at]].vertex_id == vertex_id);
+    auto& entries = replicas[aq.replica_slots[at]].entries;
     auto& synced = state.synced_backups;
     if (std::find(synced.begin(), synced.end(), backup.id) != synced.end()) {
       entries.push_back(changed);
@@ -1435,11 +1456,15 @@ void SeaweedNode::FlushReplicates(ActiveQuery& aq) {
     SendSeaweed(out.backup, out.msg, TrafficCategory::kResult);
   }
   aq.replicates.clear();
+  aq.replica_slots.clear();
+  for (VertexSlot v : aq.replicated) aq.vertices[v].replica_slots_at = 0;
+  aq.replicated.clear();
 }
 
-void SeaweedNode::PropagateVertex(ActiveQuery& aq, const NodeId& vertex_id,
-                                  VertexState& state) {
+void SeaweedNode::PropagateVertex(ActiveQuery& aq, VertexSlot vertex) {
   const NodeId& query_id = aq.query.query_id;
+  const NodeId& vertex_id = aq.vertices.id(vertex);
+  VertexState& state = aq.vertices[vertex];
   ResultPtr merged = MergedVertexResult(state);
   if (state.children.size() > 1 && merged->HasSketchStates()) {
     metrics_->sketch_merges->Add();
@@ -1487,10 +1512,11 @@ void SeaweedNode::PropagateVertex(ActiveQuery& aq, const NodeId& vertex_id,
     // entry for it, replicated at the old primary's version, while its own
     // counter restarts at 0. Continue past that version so the fold is not
     // dropped as a replay.
-    auto pit = aq.vertices.find(parent);
-    const ChildEntry* entry = pit == aq.vertices.end()
-                                  ? nullptr
-                                  : FindChild(pit->second.children, vertex_id);
+    VertexSlot parent_slot = aq.vertices.Find(parent);
+    const ChildEntry* entry =
+        parent_slot == VertexTable::kNone
+            ? nullptr
+            : FindChild(aq.vertices[parent_slot].children, vertex_id);
     SubmitState& submit = state.submit;
     if (entry != nullptr) {
       submit.version = std::max(submit.version, entry->version);
@@ -1499,8 +1525,10 @@ void SeaweedNode::PropagateVertex(ActiveQuery& aq, const NodeId& vertex_id,
     submit.pending_version = 0;
     submit.sends = 0;
     if (cancelled_.count(query_id)) return;
-    if (pit == aq.vertices.end()) pit = aq.vertices.try_emplace(parent).first;
-    ApplyChild(aq, parent, pit->second, vertex_id, version, std::move(merged));
+    if (parent_slot == VertexTable::kNone) {
+      parent_slot = aq.vertices.Emplace(parent).first;
+    }
+    ApplyChild(aq, parent_slot, vertex_id, version, std::move(merged));
     return;
   }
   ++state.submit.version;
@@ -1508,14 +1536,10 @@ void SeaweedNode::PropagateVertex(ActiveQuery& aq, const NodeId& vertex_id,
 }
 
 SeaweedNode::VertexFootprint SeaweedNode::vertex_footprint() const {
-  // A table node is the entry plus its next pointer and cached hash.
-  constexpr size_t kNodeBytes =
-      sizeof(VertexTable::value_type) + 2 * sizeof(void*);
   VertexFootprint out;
   for (const auto& [qid, aq] : active_) {
     out.vertices += aq.vertices.size();
-    out.bytes += aq.vertices.bucket_count() * sizeof(void*) +
-                 aq.vertices.size() * kNodeBytes + aq.vertex_vector_bytes;
+    out.bytes += aq.vertices.ApproxBytes() + aq.vertex_vector_bytes;
   }
   return out;
 }
@@ -1573,7 +1597,8 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
     case SeaweedMessage::Kind::kVertexReplicate: {
       ActiveQuery& aq = AdoptQuery(msg->query_id);
       for (const auto& replica : msg->replicas) {
-        auto& children = aq.vertices[replica.vertex_id].children;
+        auto& children =
+            aq.vertices[aq.vertices.Emplace(replica.vertex_id).first].children;
         for (const auto& e : replica.entries) {
           if (ChildEntry* entry = AdvanceChild(children, e.child, e.version,
                                                aq.vertex_vector_bytes)) {

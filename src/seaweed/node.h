@@ -25,12 +25,12 @@
 #include <memory>
 #include <optional>
 #include <tuple>
-#include <unordered_map>
 
 #include "obs/obs.h"
 #include "overlay/overlay_network.h"
 #include "seaweed/data_provider.h"
 #include "seaweed/metadata.h"
+#include "seaweed/vertex_arena.h"
 #include "seaweed/vertex_function.h"
 #include "seaweed/wire.h"
 
@@ -139,6 +139,9 @@ struct SeaweedMetrics {
   obs::Histogram* dissem_fanout;
   obs::Histogram* predictor_latency_us;
   obs::Histogram* result_latency_us;
+  // The metadata record buffers every node's store holds, counted as the
+  // stores change (mem.meta.store_bytes); it outlives the nodes.
+  std::unique_ptr<RecordCensus> meta_census = std::make_unique<RecordCensus>();
 };
 
 class SeaweedNode : public overlay::PastryApp {
@@ -198,7 +201,7 @@ class SeaweedNode : public overlay::PastryApp {
     return active_.count(query_id) > 0;
   }
   // Result-plane vertex state held as primary or backup: entries, and their
-  // heap bytes (table nodes and buckets, children and backup vectors; the
+  // heap bytes (arena chunks and index, children and backup vectors; the
   // shared results themselves are not counted).
   struct VertexFootprint {
     uint64_t vertices = 0;
@@ -265,39 +268,48 @@ class SeaweedNode : public overlay::PastryApp {
     // sync before deltas (a delta-only backup would reconstruct a partial
     // subtree after primary failover).
     std::vector<NodeId> synced_backups;
-    // Our submits to our parent. The flag below fills its tail padding.
+    // Our submits to our parent. The bit-fields below fill its tail
+    // padding, so a vertex is 72 bytes: a large query holds ~340k of them
+    // on its root primary and on each backup.
     [[no_unique_address]] SubmitState submit;
-    bool dirty = false;  // queued for the query's next fold pass
+    uint32_t dirty : 1 = 0;  // queued for the query's next fold pass
+    // While the vertex is in the current replication pass, 1 + where the
+    // pass's replica_slots hold its slot in each chosen backup's message;
+    // 0 otherwise (FlushReplicates resets it).
+    uint32_t replica_slots_at : 31 = 0;
   };
-  using VertexTable = std::unordered_map<NodeId, VertexState, NodeIdHash>;
+  using VertexTable = VertexArena<VertexState>;
+  using VertexSlot = VertexTable::Slot;
 
-  // One kVertexReplicate being collected for a backup during a fold pass;
-  // `index` maps a vertex to its slot in msg->replicas.
+  // One kVertexReplicate being collected for a backup during a pass.
   struct PendingReplicate {
     overlay::NodeHandle backup;
     SeaweedMessagePtr msg;
-    std::unordered_map<NodeId, size_t, NodeIdHash> index;
   };
 
   struct ActiveQuery {
     Query query;
     std::map<std::string, RangeTask> tasks;
-    // Only RefreshQuery iterates this table, to mark vertices for a fold
-    // pass, which pops them in (depth, id) order, so hashing cannot leak
-    // into output; entries are node-based, so a held VertexState& survives
-    // the insertion of its parent.
+    // Append-only: a held VertexState& survives the insertion of its
+    // parent, and the table is freed whole with the entry.
     VertexTable vertices;
     // Heap bytes of every vertex's children and backup vectors, kept as
     // they grow so the memory gauges need not walk the table.
     size_t vertex_vector_bytes = 0;
     // Fold pass state: dirty vertices as a min-heap on (common-prefix length
-    // with the queryId, vertexId), so a pass folds the deepest first and
-    // the root last; whether the pass timer is armed or the pass running;
-    // and the replication it has collected, one message per backup.
-    std::vector<std::pair<int, NodeId>> fold_queue;
+    // with the queryId, vertexId), each with its slot, so a pass folds the
+    // deepest first and the root last; whether the pass timer is armed or
+    // the pass running.
+    std::vector<std::tuple<int, NodeId, VertexSlot>> fold_queue;
     bool fold_scheduled = false;
     bool folding = false;
+    // Replication collected since the last FlushReplicates (a pass): one
+    // message per backup; per vertex that joined the pass, its slot in each
+    // chosen backup's msg->replicas (see VertexState::replica_slots_at);
+    // and the vertices that joined it.
     std::vector<PendingReplicate> replicates;
+    std::vector<uint32_t> replica_slots;
+    std::vector<VertexSlot> replicated;
     // Our own contribution as a leaf, and its submits to our leaf vertex.
     ResultPtr leaf_result;
     SubmitState leaf;
@@ -420,17 +432,15 @@ class SeaweedNode : public overlay::PastryApp {
                           const SeaweedMessagePtr& msg);
   // Stores `child`'s result in a vertex we own if `version` is newer than
   // the held one (then OnVertexUpdated), else counts a duplicate.
-  void ApplyChild(ActiveQuery& aq, const NodeId& vertex_id,
-                  VertexState& state, const NodeId& child, uint64_t version,
-                  ResultPtr result);
+  void ApplyChild(ActiveQuery& aq, VertexSlot vertex, const NodeId& child,
+                  uint64_t version, ResultPtr result);
   // After a child entry changed: replicates it and queues the vertex for
   // the fold pass.
-  void OnVertexUpdated(ActiveQuery& aq, const NodeId& vertex_id,
-                       VertexState& state, const ChildEntry& changed);
+  void OnVertexUpdated(ActiveQuery& aq, VertexSlot vertex,
+                       const ChildEntry& changed);
   // Queues the vertex for the query's fold pass, arming the pass timer
   // unless a pass is armed or running.
-  void MarkVertexDirty(ActiveQuery& aq, const NodeId& vertex_id,
-                       VertexState& state);
+  void MarkVertexDirty(ActiveQuery& aq, VertexSlot vertex);
   // Folds the dirty vertices deepest first; a fold into a locally owned
   // parent marks it dirty in the same pass. Sends the collected replication
   // before delivering the root's result.
@@ -438,12 +448,13 @@ class SeaweedNode : public overlay::PastryApp {
   // Submits the vertex's merged result to its parent, or delivers it to
   // the origin from the root. Root delivery may run the origin's observer,
   // which can erase `aq`.
-  void PropagateVertex(ActiveQuery& aq, const NodeId& vertex_id,
-                       VertexState& state);
+  void PropagateVertex(ActiveQuery& aq, VertexSlot vertex);
   // Adds the vertex's changed child (or, for a backup not yet synced, its
-  // full state) to each backup's pending kVertexReplicate.
-  void ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
-                       VertexState& state, const ChildEntry& changed);
+  // full state) to each backup's pending kVertexReplicate. The vertex's
+  // first call in a pass records its slot in each backup's message; later
+  // calls in the pass append to those slots.
+  void ReplicateVertex(ActiveQuery& aq, VertexSlot vertex,
+                       const ChildEntry& changed);
   void FlushReplicates(ActiveQuery& aq);
   // Copies `result` into an outgoing message, charging its sketch bytes.
   void AttachResult(SeaweedMessage& msg, const db::AggregateResult& result);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "db/aggregate.h"
 #include "db/database.h"
 #include "db/query_exec.h"
 #include "db/sql_parser.h"
@@ -189,6 +190,95 @@ TEST(ValueTest, OrderingIsStrictWeak) {
   EXPECT_EQ(vs[1], Value(int64_t{2}));
   EXPECT_EQ(vs[2], Value(1.5));
   EXPECT_EQ(vs[3], Value(std::string("a")));
+}
+
+// --- Linear group merge ---
+
+// A grouped result over a random subset of `universe` (sorted keys), with
+// an exact state, a QUANTILE sketch and a DISTINCT_APPROX sketch per group;
+// some groups carry no sketch, as groups created by a merge start out.
+AggregateResult RandomGrouped(const std::vector<Value>& universe,
+                              seaweed::Rng& rng) {
+  const AggregateFunction* quantile = FindAggregate("QUANTILE");
+  const AggregateFunction* distinct = FindAggregate("DISTINCT_APPROX");
+  AggregateResult r;
+  r.states.resize(3);
+  quantile->InitState(r.states[1], 0.9);
+  distinct->InitState(r.states[2], 0);
+  const uint64_t keep = 1 + rng.NextBelow(4);  // keep ~1/keep of the keys
+  for (const Value& key : universe) {
+    if (rng.NextBelow(keep) != 0) continue;
+    std::vector<AggState> states(3);
+    if (rng.NextBelow(8) != 0) {
+      quantile->InitState(states[1], 0.9);
+      distinct->InitState(states[2], 0);
+    }
+    const int rows = static_cast<int>(rng.NextBelow(5));
+    for (int i = 0; i < rows; ++i) {
+      const double v = static_cast<double>(rng.NextBelow(100000)) / 8;
+      for (AggState& s : states) s.Add(v);
+      for (AggState& s : r.states) s.Add(v);
+    }
+    if (rows == 0 && rng.NextBelow(2) == 0) states[0].sum = -0.0;
+    r.rows_matched += rows;
+    r.groups.emplace_back(key, std::move(states));
+  }
+  r.endsystems = 1;
+  return r;
+}
+
+// What Merge did key by key before: insert each incoming key in place.
+AggregateResult PerKeyMerge(AggregateResult into, const AggregateResult& other) {
+  if (into.states.empty()) {
+    into.states = other.states;
+  } else {
+    for (size_t i = 0; i < into.states.size(); ++i) {
+      into.states[i].Merge(other.states[i]);
+    }
+  }
+  for (const auto& [key, theirs] : other.groups) {
+    std::vector<AggState>& mine = into.GroupStates(key, theirs.size());
+    for (size_t i = 0; i < mine.size(); ++i) mine[i].Merge(theirs[i]);
+  }
+  into.rows_matched += other.rows_matched;
+  into.endsystems += other.endsystems;
+  return into;
+}
+
+std::vector<uint8_t> Bytes(const AggregateResult& r) {
+  Writer w;
+  r.Encode(w);
+  return w.bytes();
+}
+
+TEST(GroupByTest, LinearMergeMatchesPerKeyMerge) {
+  seaweed::Rng rng(17);
+  for (int trial = 0; trial < 24; ++trial) {
+    std::vector<Value> universe;
+    const size_t n = 1 + rng.NextBelow(300);
+    for (size_t i = 0; i < n; ++i) {
+      if (trial % 2 == 0) {
+        universe.emplace_back(static_cast<int64_t>(i * 3));
+      } else {
+        universe.emplace_back("k" + std::to_string(1000 + i));
+      }
+    }
+    // Merge a chain of results, as a vertex folds its children.
+    AggregateResult merged = RandomGrouped(universe, rng);
+    AggregateResult reference = merged;
+    for (int step = 0; step < 4; ++step) {
+      const AggregateResult next = RandomGrouped(universe, rng);
+      merged.Merge(next);
+      reference = PerKeyMerge(std::move(reference), next);
+      ASSERT_EQ(Bytes(merged), Bytes(reference))
+          << "trial " << trial << " step " << step;
+    }
+    // Into an empty result (a fresh merged vertex result) too.
+    AggregateResult fresh;
+    const AggregateResult one = RandomGrouped(universe, rng);
+    fresh.Merge(one);
+    ASSERT_EQ(Bytes(fresh), Bytes(PerKeyMerge(AggregateResult{}, one)));
+  }
 }
 
 }  // namespace

@@ -11,9 +11,11 @@
 
 #include "overlay/overlay_network.h"
 #include "overlay/packet.h"
+#include "seaweed/cluster_options.h"
 #include "seaweed/node.h"
 #include "seaweed/wire.h"
 #include "sim/network.h"
+#include "trace/farsite_model.h"
 
 namespace seaweed {
 namespace {
@@ -176,6 +178,93 @@ TEST_F(MetadataTest, PushesOfOneVersionShareOneRecord) {
     ++stored;
   }
   EXPECT_EQ(stored, config_.metadata_replicas);
+}
+
+// mem.meta.store_bytes is kept as stores add, replace and evict records
+// (RecordCensus); after an hour of Farsite churn, with a query in flight, it
+// equals the full walk over every store that it replaced, over the
+// in-memory transport and over one that decodes every replica a copy.
+class MetadataCensusTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(MetadataCensusTest, MatchesFullWalkAfterChurn) {
+  const int n = 60;
+  const SimDuration duration = 2 * kHour;
+  FarsiteModelConfig trace_cfg;
+  trace_cfg.seed = 7;
+  AvailabilityTrace trace =
+      GenerateFarsiteTrace(trace_cfg, n, duration + kHour);
+  ClusterOptions opts;
+  opts.WithEndsystems(n).WithSeed(7).WithTransport(GetParam());
+  SeaweedCluster cluster(opts.BuildOrDie());
+  cluster.DriveFromTrace(trace, duration);
+  cluster.sim().At(duration / 4, [&] {
+    int origin = 0;
+    while (!cluster.pastry_node(origin)->joined()) ++origin;
+    auto qid = cluster.InjectQuery(origin, "SELECT COUNT(*) FROM Flow",
+                                   QueryObserver{}, kHour);
+    ASSERT_TRUE(qid.ok()) << qid.status();
+  });
+  cluster.sim().RunUntil(duration);
+
+  uint64_t records = 0;
+  for (int e = 0; e < n; ++e) {
+    records += cluster.seaweed_node(e)->metadata_store().size();
+  }
+  MetadataStore::CountedRecords counted(records);
+  uint64_t walked = 0;
+  for (int e = 0; e < n; ++e) {
+    walked += cluster.seaweed_node(e)->metadata_store().ApproxBytes(&counted);
+  }
+  ASSERT_GT(counted.size(), static_cast<size_t>(n) / 2);
+
+  cluster.PublishStatsGauges();
+  const obs::Gauge* gauge =
+      cluster.obs().metrics.FindGauge("mem.meta.store_bytes");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(static_cast<uint64_t>(gauge->value()), walked);
+  EXPECT_EQ(cluster.obs().metrics.FindGauge("mem.meta.store_records")->value(),
+            static_cast<int64_t>(records));
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, MetadataCensusTest,
+                         ::testing::Values("", "serializing"));
+
+// The census follows one store through add, same-version replace, newer
+// version, eviction and clear, and a second store sharing a version.
+TEST(RecordCensusTest, TracksStoreChanges) {
+  auto make = [](uint64_t owner, uint64_t version) {
+    Metadata m;
+    m.owner = NodeId(0, owner);
+    m.version = version;
+    return MetadataRecord::Make(m);
+  };
+  const MetadataRecord a1 = make(1, 1);
+  const size_t buffer = sizeof(*a1.bytes) + a1.bytes->capacity();
+  RecordCensus census;
+  {
+    MetadataStore x;
+    MetadataStore y;
+    x.AttachCensus(&census);
+    y.AttachCensus(&census);
+    x.Upsert(a1);
+    y.Upsert(a1);
+    x.Upsert(a1);
+    EXPECT_EQ(census.versions(), 1u);
+    EXPECT_EQ(census.buffer_bytes(), buffer);
+    x.Upsert(make(1, 2));
+    x.Upsert(make(2, 1));
+    EXPECT_EQ(census.versions(), 3u);
+    EXPECT_FALSE(x.Upsert(a1));  // stale: nothing changes
+    EXPECT_EQ(census.versions(), 3u);
+    x.EvictIf([](const NodeId& owner, const MetadataStore::Record&) {
+      return owner.lo() != 2;
+    });
+    EXPECT_EQ(census.versions(), 2u);
+    y.Clear();
+    EXPECT_EQ(census.versions(), 1u);  // x's version 2 of owner 1
+  }
+  EXPECT_EQ(census.versions(), 0u);
+  EXPECT_EQ(census.buffer_bytes(), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "common/rng.h"
 #include "overlay/leafset.h"
 #include "overlay/overlay_network.h"
 #include "overlay/routing_table.h"
@@ -361,6 +366,155 @@ TEST(OverlayTest, SingleNodeOverlayWorks) {
                               TrafficCategory::kDissemination);
   f.sim.RunUntil(f.sim.Now() + kSecond);
   EXPECT_EQ(app.delivered, 1);
+}
+
+// --- Learn-path fast rejects against brute-force references ---
+
+// Candidates sharing a random-length prefix with `owner`, so that many of
+// them compete for the same routing-table slot.
+std::vector<NodeHandle> PrefixSharingPool(const NodeId& owner, int b,
+                                          size_t n, Rng& rng) {
+  const int digits = kIdBits / b;
+  std::vector<NodeHandle> pool;
+  for (size_t i = 0; i < n; ++i) {
+    NodeId id = NodeId::Random(rng);
+    const int keep = static_cast<int>(rng.NextBelow(
+        static_cast<uint64_t>(std::min(digits, 6))));
+    for (int d = 0; d < keep; ++d) id = id.WithDigit(d, b, owner.Digit(d, b));
+    pool.push_back({id, static_cast<EndsystemIndex>(i)});
+  }
+  return pool;
+}
+
+TEST(RoutingTableTest, OccupancyBitmapAgreesWithReferenceForEveryB) {
+  for (int b : {1, 2, 4, 8}) {
+    Rng rng(static_cast<uint64_t>(100 + b));
+    const NodeId owner = NodeId::Random(rng);
+    const std::vector<NodeHandle> pool = PrefixSharingPool(owner, b, 400, rng);
+    RoutingTable rt(owner, b);
+    // The reference: slot -> the first node inserted there.
+    std::map<std::pair<int, int>, NodeHandle> ref;
+    auto slot_of = [&](const NodeId& id) {
+      const int row = owner.CommonPrefixLength(id, b);
+      return std::make_pair(row, id.Digit(row, b));
+    };
+    for (int op = 0; op < 4000; ++op) {
+      const NodeHandle& h = pool[rng.NextBelow(pool.size())];
+      const auto slot = slot_of(h.id);
+      if (rng.NextBelow(3) != 0) {
+        const bool want = ref.emplace(slot, h).second;
+        ASSERT_EQ(rt.Insert(h), want) << "b=" << b << " op=" << op;
+      } else {
+        auto it = ref.find(slot);
+        const bool want = it != ref.end() && it->second.id == h.id;
+        if (want) ref.erase(it);
+        ASSERT_EQ(rt.Remove(h.id), want) << "b=" << b << " op=" << op;
+      }
+      ASSERT_EQ(rt.num_entries(), ref.size());
+      const auto probe = slot_of(pool[rng.NextBelow(pool.size())].id);
+      auto it = ref.find(probe);
+      auto at = rt.At(probe.first, probe.second);
+      ASSERT_EQ(at.has_value(), it != ref.end());
+      if (at.has_value()) {
+        ASSERT_EQ(at->id, it->second.id);
+      }
+    }
+    std::vector<NodeId> want;
+    for (const auto& [slot, h] : ref) want.push_back(h.id);
+    std::vector<NodeId> got;
+    for (const NodeHandle& h : rt.AllEntries()) got.push_back(h.id);
+    EXPECT_EQ(got, want) << "b=" << b;
+    for (int row = 0; row < rt.rows(); ++row) {
+      for (int col = 0; col < rt.cols(); ++col) {
+        auto it = ref.find({row, col});
+        EXPECT_EQ(rt.At(row, col).has_value(), it != ref.end());
+      }
+    }
+  }
+}
+
+// The leafset insert without the cached edges: scan each side for the
+// node, then insert at its distance rank if that is within the side.
+class ScanLeafset {
+ public:
+  ScanLeafset(const NodeId& owner, int l) : owner_(owner), half_(l / 2) {}
+  const std::vector<NodeHandle>& cw() const { return cw_; }
+  const std::vector<NodeHandle>& ccw() const { return ccw_; }
+
+  bool Insert(const NodeHandle& node) {
+    if (node.id == owner_) return false;
+    const bool a = InsertSide(cw_, node, [&](const NodeId& id) {
+      return owner_.ClockwiseDistanceTo(id);
+    });
+    const bool c = InsertSide(ccw_, node, [&](const NodeId& id) {
+      return id.ClockwiseDistanceTo(owner_);
+    });
+    return a || c;
+  }
+  bool Remove(const NodeId& id) {
+    bool removed = false;
+    for (auto* side : {&cw_, &ccw_}) {
+      auto it = std::find_if(side->begin(), side->end(),
+                             [&](const NodeHandle& h) { return h.id == id; });
+      if (it != side->end()) {
+        side->erase(it);
+        removed = true;
+      }
+    }
+    return removed;
+  }
+
+ private:
+  template <typename Dist>
+  bool InsertSide(std::vector<NodeHandle>& side, const NodeHandle& node,
+                  Dist dist) {
+    for (const auto& h : side) {
+      if (h.id == node.id) return false;
+    }
+    auto pos = std::lower_bound(
+        side.begin(), side.end(), dist(node.id),
+        [&](const NodeHandle& h, const NodeId& d) { return dist(h.id) < d; });
+    if (pos - side.begin() >= half_) return false;
+    side.insert(pos, node);
+    if (static_cast<int>(side.size()) > half_) side.pop_back();
+    return true;
+  }
+
+  NodeId owner_;
+  int half_;
+  std::vector<NodeHandle> cw_;
+  std::vector<NodeHandle> ccw_;
+};
+
+TEST(LeafsetTest, InsertAgreesWithScanInsert) {
+  // Pools from 3 nodes (every member on both sides of a tiny ring) to 200,
+  // leafsets of 2 to 16.
+  for (size_t pool_size : {3, 6, 12, 200}) {
+    for (int l : {2, 8, 16}) {
+      Rng rng(pool_size * 31 + static_cast<uint64_t>(l));
+      const NodeId owner = NodeId::Random(rng);
+      std::vector<NodeHandle> pool;
+      for (size_t i = 0; i < pool_size; ++i) {
+        pool.push_back({NodeId::Random(rng), static_cast<EndsystemIndex>(i)});
+      }
+      Leafset ls(owner, l);
+      ScanLeafset ref(owner, l);
+      for (int op = 0; op < 3000; ++op) {
+        const NodeHandle& h = pool[rng.NextBelow(pool.size())];
+        if (rng.NextBelow(4) != 0) {
+          ASSERT_EQ(ls.Insert(h), ref.Insert(h)) << op;
+        } else {
+          ASSERT_EQ(ls.Remove(h.id), ref.Remove(h.id)) << op;
+        }
+        ASSERT_EQ(ls.cw(), ref.cw()) << op;
+        ASSERT_EQ(ls.ccw(), ref.ccw()) << op;
+      }
+      // ForEachMember visits All()'s members in All()'s order.
+      std::vector<NodeHandle> visited;
+      ls.ForEachMember([&](const NodeHandle& h) { visited.push_back(h); });
+      EXPECT_EQ(visited, ls.All());
+    }
+  }
 }
 
 }  // namespace
