@@ -426,12 +426,14 @@ void PastryNode::CheckFailures() {
   const SimDuration window = static_cast<SimDuration>(
       static_cast<double>(config_.heartbeat_period) *
       config_.failure_timeout_multiple);
+  // Collected first: a failure changes the leafset. Nothing is allocated
+  // while every member is heard.
   std::vector<NodeHandle> failed;
-  for (const auto& member : leafset_.All()) {
+  leafset_.ForEachMember([&](const NodeHandle& member) {
     const SimTime* it = last_heard_.Find(member.id);
     SimTime heard = it == nullptr ? 0 : *it;
     if (now - heard > window) failed.push_back(member);
-  }
+  });
   for (const auto& f : failed) HandleNeighborFailure(f);
 }
 

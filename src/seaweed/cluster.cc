@@ -176,15 +176,19 @@ void SeaweedCluster::PublishStatsGauges() {
   // A record buffer is shared by its owner's replicas: the census counts
   // it once.
   uint64_t meta_bytes = seaweed_metrics_.meta_census->buffer_bytes();
+  uint64_t query_entries = 0;
   uint64_t vertices = 0;
   uint64_t vertex_bytes = 0;
   for (const auto& node : seaweed_) {
     meta_records += node->metadata_store().size();
     meta_bytes += node->metadata_store().TableBytes();
+    query_entries += node->active_query_count();
     const SeaweedNode::VertexFootprint v = node->vertex_footprint();
     vertices += v.vertices;
     vertex_bytes += v.bytes;
   }
+  obs_.metrics.GetGauge("mem.seaweed.query_entries")
+      ->Set(static_cast<int64_t>(query_entries));
   obs_.metrics.GetGauge("mem.seaweed.vertices")
       ->Set(static_cast<int64_t>(vertices));
   obs_.metrics.GetGauge("mem.seaweed.vertex_bytes")

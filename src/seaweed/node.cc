@@ -19,32 +19,34 @@ SimDuration RetryBackoff(SimDuration base, int tries, SimDuration cap) {
 }
 
 using ChildEntry = SeaweedMessage::ReplicaEntry;
+using ChildList = PoolVector<ChildEntry>;
 
-std::vector<ChildEntry>::iterator LowerBound(std::vector<ChildEntry>& children,
-                                             const NodeId& child) {
+ChildEntry* LowerBound(ChildList& children, const NodeId& child) {
   return std::lower_bound(
       children.begin(), children.end(), child,
       [](const ChildEntry& e, const NodeId& key) { return e.child < key; });
 }
 
 // The entry held for `child`, or nullptr.
-ChildEntry* FindChild(std::vector<ChildEntry>& children, const NodeId& child) {
+ChildEntry* FindChild(ChildList& children, const NodeId& child) {
   auto it = LowerBound(children, child);
   return it != children.end() && it->child == child ? &*it : nullptr;
 }
 
 // The entry to overwrite with `child`'s result at `version`, inserted in key
-// order if new (adding any growth of the vector to `heap_bytes`); nullptr
-// when the held entry is already at `version` or newer (a stale or replayed
-// update — the dedup that makes retries safe).
-ChildEntry* AdvanceChild(std::vector<ChildEntry>& children,
-                         const NodeId& child, uint64_t version,
-                         size_t& heap_bytes) {
+// order if new (a grown vector's new buffer comes from `pool` and is added
+// to `pool_bytes`); nullptr when the held entry is already at `version` or
+// newer (a stale or replayed update — the dedup that makes retries safe).
+ChildEntry* AdvanceChild(ChildList& children, const NodeId& child,
+                         uint64_t version, std::pmr::memory_resource* pool,
+                         size_t& pool_bytes) {
   auto it = LowerBound(children, child);
   if (it == children.end() || it->child != child) {
     const size_t capacity = children.capacity();
-    it = children.insert(it, ChildEntry{child, version, nullptr});
-    heap_bytes += (children.capacity() - capacity) * sizeof(ChildEntry);
+    it = children.insert(pool, it, ChildEntry{child, version, nullptr});
+    if (children.capacity() != capacity) {
+      pool_bytes += children.capacity() * sizeof(ChildEntry);
+    }
     return &*it;
   }
   if (it->version >= version) return nullptr;
@@ -247,14 +249,14 @@ void SeaweedNode::OnNeighborFailed(const NodeHandle& neighbor) {
     // recently pulled into the replica set by the failure.
     std::optional<NodeHandle> target;
     NodeId target_dist;
-    for (const auto& m : pastry_->leafset().All()) {
-      if (!LikelyReplicaFor(owner, m)) continue;
+    pastry_->leafset().ForEachMember([&](const NodeHandle& m) {
+      if (!LikelyReplicaFor(owner, m)) return;
       NodeId d = m.id.RingDistanceTo(owner);
       if (!target.has_value() || d > target_dist) {
         target = m;
         target_dist = d;
       }
-    }
+    });
     if (target.has_value()) {
       metrics_->metadata_rereplications->Add();
       PushRecordTo(*target, *rec);
@@ -366,23 +368,22 @@ bool SeaweedNode::LikelyReplicaFor(const NodeId& owner,
   if (holder.id == owner) return false;
   if (!ls.Covers(owner) && owner != id()) return false;
 
-  std::vector<NodeId> members;
-  members.push_back(id());
-  for (const auto& h : ls.All()) members.push_back(h.id);
-
   int between = 0;
-  // Count live members strictly inside the arc between holder and owner
-  // (on holder's side, i.e. the short way from holder to owner).
+  // Count live members, this node included, strictly inside the arc
+  // between holder and owner (on holder's side, i.e. the short way from
+  // holder to owner).
   NodeId cw = holder.id.ClockwiseDistanceTo(owner);
   NodeId ccw = owner.ClockwiseDistanceTo(holder.id);
   bool holder_ccw_of_owner = cw <= ccw;
-  for (const NodeId& m : members) {
-    if (m == holder.id || m == owner) continue;
+  auto count = [&](const NodeId& m) {
+    if (m == holder.id || m == owner) return;
     bool inside = holder_ccw_of_owner
                       ? (holder.id.ClockwiseDistanceTo(m) < cw && m != owner)
                       : (owner.ClockwiseDistanceTo(m) < ccw);
     if (inside) ++between;
-  }
+  };
+  count(id());
+  ls.ForEachMember([&](const NodeHandle& h) { count(h.id); });
   return between < config_.metadata_replicas / 2;
 }
 
@@ -465,11 +466,16 @@ Status SeaweedNode::CheckCanOriginate() {
   return Status::OK();
 }
 
-NodeId SeaweedNode::Originate(const Query& query, QueryObserver observer,
-                              const char* kind) {
+Result<NodeId> SeaweedNode::Originate(const Query& query,
+                                      QueryObserver observer,
+                                      const char* kind) {
   const NodeId qid = query.query_id;
-  EnsureQueryActive(query);
-  auto& aq = active_[qid];
+  ActiveQuery* entry = EnsureQueryActive(query);
+  if (entry == nullptr) {
+    return Status::FailedPrecondition(
+        "query " + qid.ToHex() + " has ended here: cancelled or past its TTL");
+  }
+  ActiveQuery& aq = *entry;
   aq.is_origin = true;
   aq.observer = std::move(observer);
   StartQueryTrace(aq, kind);
@@ -513,13 +519,9 @@ Result<NodeId> SeaweedNode::InjectContinuousQuery(const std::string& sql,
 
 void SeaweedNode::CancelQuery(const NodeId& query_id) {
   auto it = active_.find(query_id);
-  SimTime tombstone_until = sim()->Now() + 48 * kHour;
-  if (it != active_.end()) {
-    tombstone_until = it->second.query.injected_at + it->second.query.ttl;
-    active_.erase(it);
-  }
-  plan_cache_.Erase(query_id.ToHex());
-  cancelled_[query_id] = tombstone_until;
+  EndQuery(query_id, it != active_.end()
+                         ? it->second.query.injected_at + it->second.query.ttl
+                         : sim()->Now() + 48 * kHour);
   // Seed the epidemic: notify all leafset members; each recipient forwards
   // once (dedup via its own tombstone).
   auto msg = std::make_shared<SeaweedMessage>();
@@ -555,25 +557,34 @@ void SeaweedNode::HandleQueryCancel(const SeaweedMessagePtr& msg) {
   CancelQuery(msg->query_id);
 }
 
-void SeaweedNode::EnsureQueryActive(const Query& query) {
-  if (cancelled_.count(query.query_id)) return;
+void SeaweedNode::EndQuery(const NodeId& query_id, SimTime tombstone_until) {
+  active_.erase(query_id);
+  plan_cache_.Erase(query_id.ToHex());
+  cancelled_[query_id] = tombstone_until;
+}
+
+SeaweedNode::ActiveQuery* SeaweedNode::EnsureQueryActive(const Query& query) {
+  if (cancelled_.count(query.query_id) || query.ExpiredAt(sim()->Now())) {
+    return nullptr;
+  }
   auto it = active_.find(query.query_id);
   if (it != active_.end()) {
     if (it->second.query.sql.empty() && !query.sql.empty()) {
       // A vertex-only entry learns its query: from now on the refresh also
-      // covers our leaf, on the query's own period.
+      // covers our leaf, on the query's own period, and ends the entry.
       it->second.query = query;
       ScheduleLocalExecution(query.query_id);
       ArmRefresh(it->second);
     }
-    return;
+    return &it->second;
   }
   ActiveQuery& aq = active_[query.query_id];
   aq.query = query;
-  if (!query.sql.empty() && !query.IsViewSnapshot()) {
-    ScheduleLocalExecution(query.query_id);
+  if (!query.sql.empty()) {
+    if (!query.IsViewSnapshot()) ScheduleLocalExecution(query.query_id);
     ArmRefresh(aq);
   }
+  return &aq;
 }
 
 void SeaweedNode::ScheduleLocalExecution(const NodeId& query_id) {
@@ -621,28 +632,12 @@ void SeaweedNode::HandleQueryListRequest(const NodeHandle& from) {
 }
 
 void SeaweedNode::HandleQueryList(const SeaweedMessagePtr& msg) {
-  const SimTime now = sim()->Now();
-  for (const auto& q : msg->queries) {
-    if (q.ExpiredAt(now)) continue;
-    EnsureQueryActive(q);
-  }
+  for (const auto& q : msg->queries) EnsureQueryActive(q);
 }
 
 void SeaweedNode::SweepExpiredTick(uint64_t generation) {
   if (generation != generation_ || !pastry_->up()) return;
   const SimTime now = sim()->Now();
-  for (auto it = active_.begin(); it != active_.end();) {
-    const Query& q = it->second.query;
-    bool expired = q.sql.empty()
-                       ? false  // vertex-only entries swept via query copies
-                       : q.ExpiredAt(now);
-    if (expired) {
-      plan_cache_.Erase(it->first.ToHex());
-      it = active_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   for (auto it = cancelled_.begin(); it != cancelled_.end();) {
     if (now > it->second) {
       it = cancelled_.erase(it);
@@ -696,8 +691,9 @@ bool SeaweedNode::CoveredByLeafset(const IdRange& range) const {
 void SeaweedNode::HandleBroadcast(const SeaweedMessagePtr& msg) {
   SEAWEED_CHECK(!msg->queries.empty());
   if (msg->range.IsEmpty()) return;  // names the origin's own task
-  EnsureQueryActive(msg->queries[0]);
-  auto& aq = active_[msg->query_id];
+  ActiveQuery* entry = EnsureQueryActive(msg->queries[0]);
+  if (entry == nullptr) return;  // ended here: cancelled or past its TTL
+  ActiveQuery& aq = *entry;
 
   const std::string token = msg->range.Token();
   auto existing = aq.tasks.find(token);
@@ -1237,8 +1233,9 @@ void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
       metrics_->handovers_suppressed->Add();
     }
   }
-  if (cancelled_.count(msg->query_id)) return;
-  ActiveQuery& aq = AdoptQuery(msg->query_id);
+  ActiveQuery* entry = AdoptQuery(msg->query_id);
+  if (entry == nullptr) return;
+  ActiveQuery& aq = *entry;
   // Ack the submitter, a duplicate too. The ack leaves in the same event as
   // a new entry's replication, so ack-after-replicate holds.
   if (from.id != id()) {
@@ -1255,23 +1252,26 @@ void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
              std::make_shared<const db::AggregateResult>(msg->result));
 }
 
-SeaweedNode::ActiveQuery& SeaweedNode::AdoptQuery(const NodeId& query_id) {
+SeaweedNode::ActiveQuery* SeaweedNode::AdoptQuery(const NodeId& query_id) {
+  if (cancelled_.count(query_id)) return nullptr;
   auto [it, adopted] = active_.try_emplace(query_id);
   if (adopted) {
     it->second.query.query_id = query_id;
     it->second.query.injected_at = sim()->Now();
     ArmRefresh(it->second);
   }
-  return it->second;
+  return &it->second;
 }
 
 void SeaweedNode::ArmRefresh(ActiveQuery& aq) {
   aq.refresh_serial = ++refresh_serial_;
-  const SimDuration period = aq.query.continuous
-                                 ? aq.query.reexec_period
-                                 : config_.result_refresh_period;
-  sim()->After(period, [this, gen = generation_, qid = aq.query.query_id,
-                        serial = aq.refresh_serial] {
+  const Query& q = aq.query;
+  SimTime due = sim()->Now() + (q.continuous ? q.reexec_period
+                                             : config_.result_refresh_period);
+  // A known query's entry ends on this timer, one tick past its TTL.
+  if (!q.sql.empty()) due = std::min(due, q.injected_at + q.ttl + 1);
+  sim()->At(due, [this, gen = generation_, qid = q.query_id,
+                  serial = aq.refresh_serial] {
     if (gen != generation_) return;
     RefreshQuery(qid, serial);
   });
@@ -1281,7 +1281,15 @@ void SeaweedNode::RefreshQuery(const NodeId& query_id, uint64_t serial) {
   auto it = active_.find(query_id);
   if (it == active_.end() || it->second.refresh_serial != serial) return;
   ActiveQuery& aq = it->second;
-  if (aq.query.ExpiredAt(sim()->Now())) return;
+  const SimTime now = sim()->Now();
+  if (aq.query.ExpiredAt(now)) {
+    // A vertex-only entry's TTL is a placeholder: it stops refreshing but
+    // is not ended on it.
+    if (!aq.query.sql.empty()) {
+      EndQuery(query_id, now + config_.query_sweep_period);
+    }
+    return;
+  }
   ArmRefresh(aq);
   if (aq.query.continuous) {
     // Recompute the local result; the new version replaces the old one in
@@ -1305,8 +1313,9 @@ void SeaweedNode::RefreshQuery(const NodeId& query_id, uint64_t serial) {
 void SeaweedNode::ApplyChild(ActiveQuery& aq, VertexSlot vertex,
                              const NodeId& child, uint64_t version,
                              ResultPtr result) {
-  ChildEntry* entry = AdvanceChild(aq.vertices[vertex].children, child,
-                                   version, aq.vertex_vector_bytes);
+  ChildEntry* entry =
+      AdvanceChild(aq.vertices[vertex].children, child, version,
+                   &aq.vertex_pool, aq.vertex_vector_bytes);
   if (entry == nullptr) {
     metrics_->duplicates_suppressed->Add();
     return;
@@ -1444,8 +1453,10 @@ void SeaweedNode::ReplicateVertex(ActiveQuery& aq, VertexSlot vertex,
     entries.insert(entries.end(), state.children.begin(),
                    state.children.end());
     const size_t capacity = synced.capacity();
-    synced.push_back(backup.id);
-    aq.vertex_vector_bytes += (synced.capacity() - capacity) * sizeof(NodeId);
+    synced.push_back(&aq.vertex_pool, backup.id);
+    if (synced.capacity() != capacity) {
+      aq.vertex_vector_bytes += synced.capacity() * sizeof(NodeId);
+    }
   }
 }
 
@@ -1595,13 +1606,15 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
       break;
     }
     case SeaweedMessage::Kind::kVertexReplicate: {
-      ActiveQuery& aq = AdoptQuery(msg->query_id);
+      ActiveQuery* aq = AdoptQuery(msg->query_id);
+      if (aq == nullptr) break;
       for (const auto& replica : msg->replicas) {
-        auto& children =
-            aq.vertices[aq.vertices.Emplace(replica.vertex_id).first].children;
+        const VertexSlot slot = aq->vertices.Emplace(replica.vertex_id).first;
+        auto& children = aq->vertices[slot].children;
         for (const auto& e : replica.entries) {
-          if (ChildEntry* entry = AdvanceChild(children, e.child, e.version,
-                                               aq.vertex_vector_bytes)) {
+          if (ChildEntry* entry =
+                  AdvanceChild(children, e.child, e.version,
+                               &aq->vertex_pool, aq->vertex_vector_bytes)) {
             entry->result = e.result;
           }
         }

@@ -77,6 +77,9 @@ struct SeaweedConfig {
   // one step, so a result pays this once per network hop, not once per
   // vertex level.
   SimDuration result_deliver_debounce = 2 * kSecond;
+  // A query's state ends on its own refresh timer at its TTL (see
+  // ArmRefresh). This sweep only prunes the tombstones that outlive it and
+  // the handover-loop memory; a TTL tombstone lasts one such period.
   SimDuration query_sweep_period = 10 * kMinute;
   // Views included in every metadata push (empty = none).
   std::vector<ReplicatedView> views;
@@ -249,6 +252,7 @@ class SeaweedNode : public overlay::PastryApp {
   // One child's latest result at a vertex; the same layout a
   // kVertexReplicate carries, so a full sync copies the vector.
   using ChildEntry = SeaweedMessage::ReplicaEntry;
+  using ChildList = PoolVector<ChildEntry>;
 
   // A child's submits to its parent vertex, leaf or vertex alike: its latest
   // version, the version sent and not yet acked (0 = none), and the sends
@@ -259,17 +263,18 @@ class SeaweedNode : public overlay::PastryApp {
     int sends = 0;
   };
 
+  // Both vectors draw on the query's vertex pool (ActiveQuery::vertex_pool).
   struct VertexState {
     // Sorted by child key: the merge order and the full-sync order. A
     // vertex's children differ from each other in one digit, so fan-in is
     // small, and most vertices (a leaf's private chain) have exactly one.
-    std::vector<ChildEntry> children;
+    ChildList children;
     // Backups known to hold this vertex's full state; others get a full
     // sync before deltas (a delta-only backup would reconstruct a partial
     // subtree after primary failover).
-    std::vector<NodeId> synced_backups;
+    PoolVector<NodeId> synced_backups;
     // Our submits to our parent. The bit-fields below fill its tail
-    // padding, so a vertex is 72 bytes: a large query holds ~340k of them
+    // padding, so a vertex is 56 bytes: a large query holds ~340k of them
     // on its root primary and on each backup.
     [[no_unique_address]] SubmitState submit;
     uint32_t dirty : 1 = 0;  // queued for the query's next fold pass
@@ -279,6 +284,9 @@ class SeaweedNode : public overlay::PastryApp {
     uint32_t replica_slots_at : 31 = 0;
   };
   using VertexTable = VertexArena<VertexState>;
+  // A query's vertex pool starts with a block this size: most nodes hold a
+  // few vertices of a query, and its root's holders hold ~10^5.
+  static constexpr size_t kVertexPoolFirstBlock = 256;
   using VertexSlot = VertexTable::Slot;
 
   // One kVertexReplicate being collected for a backup during a pass.
@@ -290,11 +298,18 @@ class SeaweedNode : public overlay::PastryApp {
   struct ActiveQuery {
     Query query;
     std::map<std::string, RangeTask> tasks;
+    // Storage of every vertex's children and backup vectors, handed out
+    // from blocks and freed whole with the entry, never vector by vector:
+    // a query's end leaves a few large holes in the heap instead of ~10^5
+    // small ones that later allocations would scatter into. A vector's
+    // outgrown buffer stays in the pool until then; both vectors only grow.
+    std::pmr::monotonic_buffer_resource vertex_pool{kVertexPoolFirstBlock};
     // Append-only: a held VertexState& survives the insertion of its
     // parent, and the table is freed whole with the entry.
     VertexTable vertices;
-    // Heap bytes of every vertex's children and backup vectors, kept as
-    // they grow so the memory gauges need not walk the table.
+    // Bytes the vertices' vectors took from vertex_pool, outgrown buffers
+    // included, kept as they grow so the memory gauges need not walk the
+    // table.
     size_t vertex_vector_bytes = 0;
     // Fold pass state: dirty vertices as a min-heap on (common-prefix length
     // with the queryId, vertexId), each with its slot, so a pass folds the
@@ -387,9 +402,11 @@ class SeaweedNode : public overlay::PastryApp {
   // This endsystem is up and admission control admits one more query.
   Status CheckCanOriginate();
   // Makes this node `query`'s origin and dispatches the full range toward
-  // the tree root as its own task's one child.
-  NodeId Originate(const Query& query, QueryObserver observer,
-                   const char* kind);
+  // the tree root as its own task's one child. Fails when the query has
+  // ended here (a re-injected salted query id after its cancel or TTL, or
+  // a TTL already past).
+  Result<NodeId> Originate(const Query& query, QueryObserver observer,
+                           const char* kind);
   // Origin-side delivery: ends the span the arrival closes, records its
   // latency and runs the observer, which may erase `aq`. A view snapshot
   // has no predictor phase, so its result also ends dissemination.
@@ -398,15 +415,20 @@ class SeaweedNode : public overlay::PastryApp {
                         const CompletenessPredictor& predictor);
 
   // --- Result plane ---
-  void EnsureQueryActive(const Query& query);
-  // The query's entry, adopted vertex-only when we never saw its broadcast.
-  ActiveQuery& AdoptQuery(const NodeId& query_id);
+  // The query's entry, made or completed from the descriptor; nullptr when
+  // the query has ended here (a tombstone) or is past its TTL.
+  ActiveQuery* EnsureQueryActive(const Query& query);
+  // The query's entry, adopted vertex-only when we never saw its broadcast;
+  // nullptr when a tombstone says it has ended here.
+  ActiveQuery* AdoptQuery(const NodeId& query_id);
   // Soft-state refresh (§3.4): each entry keeps one timer, due every
   // result_refresh_period (a continuous query's reexec_period); arming
   // again replaces it. A tick resubmits our leaf result (a continuous query
   // re-executes) and marks dirty every vertex we are primary for, so one
   // fold pass re-propagates them all. That repairs aggregates lost to a
-  // primary failover anywhere above us within one period.
+  // primary failover anywhere above us within one period. For an entry
+  // that knows its query (not vertex-only) the timer is due at the latest
+  // one tick past the TTL, and that tick ends the entry (EndQuery).
   void ArmRefresh(ActiveQuery& aq);
   void RefreshQuery(const NodeId& query_id, uint64_t serial);
   void ScheduleLocalExecution(const NodeId& query_id);
@@ -464,6 +486,11 @@ class SeaweedNode : public overlay::PastryApp {
   void HandleQueryListRequest(const overlay::NodeHandle& from);
   void HandleQueryList(const SeaweedMessagePtr& msg);
   void HandleQueryCancel(const SeaweedMessagePtr& msg);
+  // Drops the query's entry and plan, and leaves a tombstone until
+  // `tombstone_until` so a straggling submit, replicate or broadcast cannot
+  // re-adopt it.
+  void EndQuery(const NodeId& query_id, SimTime tombstone_until);
+  // Prunes expired tombstones and handover-loop entries.
   void SweepExpiredTick(uint64_t generation);
 
   void SendSeaweed(const overlay::NodeHandle& to, const SeaweedMessagePtr& msg,
@@ -503,7 +530,8 @@ class SeaweedNode : public overlay::PastryApp {
   // Volatile (lost on failure, rebuilt on rejoin).
   MetadataStore metadata_;
   std::map<NodeId, ActiveQuery> active_;
-  // Cancelled-query tombstones: query_id -> expiry of the suppression.
+  // Tombstones of queries ended here, cancelled or past their TTL:
+  // query_id -> expiry of the suppression.
   std::map<NodeId, SimTime> cancelled_;
   // (query, vertex, child, version) -> time we last forwarded that exact
   // submission to a "closer" node. Breaks handover ping-pong when two nodes'

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <utility>
 #include <vector>
 
@@ -160,6 +161,64 @@ class VertexArena {
   std::vector<Entry*> chunks_;
   std::vector<IndexEntry> index_;  // a power of two, at least 2 * size_
   size_t size_ = 0;
+};
+
+// A vector for arena entries whose buffers come from a pool shared by the
+// whole table: each call that may grow it names the pool, so the vector is
+// 16 bytes and stores no allocator. It returns nothing to the pool; an
+// outgrown buffer stays there until the pool is released, so it suits
+// vectors that only grow and a pool freed whole with the table. Destruction
+// ends the elements' lifetimes and leaves their storage to the pool.
+template <typename T>
+class PoolVector {
+ public:
+  PoolVector() = default;
+  PoolVector(const PoolVector&) = delete;
+  PoolVector& operator=(const PoolVector&) = delete;
+  PoolVector(PoolVector&& o) noexcept
+      : data_(std::exchange(o.data_, nullptr)),
+        size_(std::exchange(o.size_, 0)),
+        capacity_(std::exchange(o.capacity_, 0)) {}
+  PoolVector& operator=(PoolVector&&) = delete;
+  ~PoolVector() { std::destroy_n(data_, size_); }
+
+  size_t size() const { return size_; }
+  size_t capacity() const { return capacity_; }
+  bool empty() const { return size_ == 0; }
+  T* begin() { return data_; }
+  T* end() { return data_ + size_; }
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+  T& front() { return data_[0]; }
+  const T& front() const { return data_[0]; }
+
+  // Inserts `value` before `pos`, doubling the capacity from `pool` when
+  // full; returns the inserted element.
+  T* insert(std::pmr::memory_resource* pool, T* pos, T value) {
+    const size_t at = static_cast<size_t>(pos - data_);
+    SEAWEED_DCHECK(at <= size_);
+    if (size_ == capacity_) {
+      const uint32_t capacity = capacity_ == 0 ? 1 : 2 * capacity_;
+      T* next = static_cast<T*>(
+          pool->allocate(capacity * sizeof(T), alignof(T)));
+      std::uninitialized_move_n(data_, size_, next);
+      std::destroy_n(data_, size_);
+      data_ = next;
+      capacity_ = capacity;
+    }
+    std::construct_at(data_ + size_, std::move(value));
+    ++size_;
+    std::rotate(data_ + at, data_ + size_ - 1, data_ + size_);
+    return data_ + at;
+  }
+  void push_back(std::pmr::memory_resource* pool, T value) {
+    insert(pool, end(), std::move(value));
+  }
+
+ private:
+  T* data_ = nullptr;
+  uint32_t size_ = 0;
+  uint32_t capacity_ = 0;
 };
 
 }  // namespace seaweed

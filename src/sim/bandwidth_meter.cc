@@ -27,7 +27,7 @@ const char* TrafficCategoryName(TrafficCategory c) {
 
 BandwidthMeter::BandwidthMeter(int num_endsystems,
                                obs::MetricsRegistry* registry)
-    : per_endsystem_(static_cast<size_t>(num_endsystems)) {
+    : num_endsystems_(num_endsystems) {
   if (registry == nullptr) {
     owned_registry_ = std::make_unique<obs::MetricsRegistry>();
     registry = owned_registry_.get();
@@ -43,83 +43,77 @@ BandwidthMeter::BandwidthMeter(int num_endsystems,
   total_rx_ = registry->GetCounter("bw.rx.total_bytes");
 }
 
-void BandwidthMeter::Bump(std::vector<uint32_t>& v, int64_t hour,
+void BandwidthMeter::Bump(HourRows& rows, uint32_t endsystem, int64_t hour,
                           uint32_t bytes) {
+  SEAWEED_DCHECK(endsystem < static_cast<uint32_t>(num_endsystems_));
+  max_hour_ = std::max(max_hour_, hour);
   if (hour < 0) hour = 0;
-  if (static_cast<size_t>(hour) >= v.size()) {
-    v.resize(static_cast<size_t>(hour) + 1, 0);
+  if (static_cast<size_t>(hour) >= rows.size()) {
+    rows.resize(static_cast<size_t>(hour) + 1);
   }
-  v[static_cast<size_t>(hour)] += bytes;
+  std::vector<uint32_t>& row = rows[static_cast<size_t>(hour)];
+  if (row.empty()) row.resize(static_cast<size_t>(num_endsystems_), 0);
+  row[endsystem] += bytes;
+}
+
+uint64_t BandwidthMeter::CountIn(const HourRows& rows, uint32_t endsystem,
+                                 int64_t hour) {
+  if (hour < 0 || static_cast<size_t>(hour) >= rows.size()) return 0;
+  const std::vector<uint32_t>& row = rows[static_cast<size_t>(hour)];
+  return row.empty() ? 0 : row[endsystem];
 }
 
 void BandwidthMeter::RecordTx(uint32_t endsystem, TrafficCategory cat,
                               SimTime t, uint32_t bytes) {
-  SEAWEED_DCHECK(endsystem < per_endsystem_.size());
-  int64_t hour = t / kHour;
-  NoteHour(hour);
-  Bump(per_endsystem_[endsystem].tx_by_hour, hour, bytes);
+  Bump(tx_by_hour_, endsystem, t / kHour, bytes);
   total_tx_->Add(bytes);
   tx_series_[static_cast<int>(cat)]->Record(t, bytes);
 }
 
 void BandwidthMeter::RecordRx(uint32_t endsystem, TrafficCategory cat,
                               SimTime t, uint32_t bytes) {
-  SEAWEED_DCHECK(endsystem < per_endsystem_.size());
-  int64_t hour = t / kHour;
-  NoteHour(hour);
-  Bump(per_endsystem_[endsystem].rx_by_hour, hour, bytes);
+  Bump(rx_by_hour_, endsystem, t / kHour, bytes);
   total_rx_->Add(bytes);
   rx_series_[static_cast<int>(cat)]->Record(t, bytes);
 }
 
 void BandwidthMeter::RecordTxDropped(uint32_t endsystem, SimTime t,
                                      uint32_t bytes) {
-  SEAWEED_DCHECK(endsystem < per_endsystem_.size());
-  int64_t hour = t / kHour;
-  NoteHour(hour);
-  Bump(per_endsystem_[endsystem].tx_by_hour, hour, bytes);
+  Bump(tx_by_hour_, endsystem, t / kHour, bytes);
   total_tx_->Add(bytes);
   tx_dropped_series_->Record(t, bytes);
 }
 
 uint64_t BandwidthMeter::TxInHour(uint32_t endsystem, int64_t hour) const {
-  const auto& v = per_endsystem_[endsystem].tx_by_hour;
-  if (hour < 0 || static_cast<size_t>(hour) >= v.size()) return 0;
-  return v[static_cast<size_t>(hour)];
+  return CountIn(tx_by_hour_, endsystem, hour);
 }
 
 uint64_t BandwidthMeter::RxInHour(uint32_t endsystem, int64_t hour) const {
-  const auto& v = per_endsystem_[endsystem].rx_by_hour;
-  if (hour < 0 || static_cast<size_t>(hour) >= v.size()) return 0;
-  return v[static_cast<size_t>(hour)];
+  return CountIn(rx_by_hour_, endsystem, hour);
+}
+
+std::vector<double> BandwidthMeter::HourlyRates(const HourRows& rows,
+                                                int64_t first_hour,
+                                                int64_t last_hour) const {
+  std::vector<double> out;
+  out.reserve(static_cast<size_t>(num_endsystems_) *
+              static_cast<size_t>(last_hour - first_hour + 1));
+  for (uint32_t e = 0; e < static_cast<uint32_t>(num_endsystems_); ++e) {
+    for (int64_t h = first_hour; h <= last_hour; ++h) {
+      out.push_back(static_cast<double>(CountIn(rows, e, h)) / 3600.0);
+    }
+  }
+  return out;
 }
 
 std::vector<double> BandwidthMeter::HourlyTxRates(int64_t first_hour,
                                                   int64_t last_hour) const {
-  std::vector<double> out;
-  out.reserve(per_endsystem_.size() *
-              static_cast<size_t>(last_hour - first_hour + 1));
-  for (size_t e = 0; e < per_endsystem_.size(); ++e) {
-    for (int64_t h = first_hour; h <= last_hour; ++h) {
-      out.push_back(static_cast<double>(TxInHour(static_cast<uint32_t>(e), h)) /
-                    3600.0);
-    }
-  }
-  return out;
+  return HourlyRates(tx_by_hour_, first_hour, last_hour);
 }
 
 std::vector<double> BandwidthMeter::HourlyRxRates(int64_t first_hour,
                                                   int64_t last_hour) const {
-  std::vector<double> out;
-  out.reserve(per_endsystem_.size() *
-              static_cast<size_t>(last_hour - first_hour + 1));
-  for (size_t e = 0; e < per_endsystem_.size(); ++e) {
-    for (int64_t h = first_hour; h <= last_hour; ++h) {
-      out.push_back(static_cast<double>(RxInHour(static_cast<uint32_t>(e), h)) /
-                    3600.0);
-    }
-  }
-  return out;
+  return HourlyRates(rx_by_hour_, first_hour, last_hour);
 }
 
 double Percentile(std::vector<double> samples, double p) {

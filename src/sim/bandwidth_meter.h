@@ -80,9 +80,7 @@ class BandwidthMeter {
   uint64_t TxInHour(uint32_t endsystem, int64_t hour) const;
   uint64_t RxInHour(uint32_t endsystem, int64_t hour) const;
   int64_t MaxHour() const { return max_hour_; }
-  int num_endsystems() const {
-    return static_cast<int>(per_endsystem_.size());
-  }
+  int num_endsystems() const { return num_endsystems_; }
 
   // Flattened per-endsystem-per-hour average tx bandwidth samples in
   // bytes/second over hours [first_hour, last_hour], one sample per
@@ -93,16 +91,21 @@ class BandwidthMeter {
                                     int64_t last_hour) const;
 
  private:
-  // Per-hour byte counts of one endsystem (tx on send, rx on delivery).
-  struct PerEndsystem {
-    std::vector<uint32_t> tx_by_hour;
-    std::vector<uint32_t> rx_by_hour;
-  };
+  // Hour-major byte counts: rows[h][e] is endsystem e's count in hour h,
+  // one num_endsystems row per hour, so a run's sends within an hour touch
+  // one row.
+  using HourRows = std::vector<std::vector<uint32_t>>;
 
-  static void Bump(std::vector<uint32_t>& v, int64_t hour, uint32_t bytes);
-  void NoteHour(int64_t hour) { max_hour_ = std::max(max_hour_, hour); }
+  void Bump(HourRows& rows, uint32_t endsystem, int64_t hour,
+            uint32_t bytes);
+  static uint64_t CountIn(const HourRows& rows, uint32_t endsystem,
+                          int64_t hour);
+  std::vector<double> HourlyRates(const HourRows& rows, int64_t first_hour,
+                                  int64_t last_hour) const;
 
-  std::vector<PerEndsystem> per_endsystem_;
+  int num_endsystems_;
+  HourRows tx_by_hour_;  // on send
+  HourRows rx_by_hour_;  // on delivery
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::MetricsRegistry* registry_;
   std::array<obs::Timeseries*, kNumTrafficCategories> tx_series_;

@@ -2,6 +2,7 @@
 // grouped aggregates executed end-to-end over the simulated cluster.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <unordered_map>
 
 #include "seaweed/cluster_options.h"
@@ -97,6 +98,170 @@ TEST(QueryLifecycleTest, TtlExpiryDropsStateEverywhere) {
     EXPECT_FALSE(cluster.seaweed_node(e)->HasActiveQuery(*qid))
         << "endsystem " << e;
   }
+}
+
+// Late messages for `qid`, as a node that still held it would send them:
+// a leaf submit to the root vertex and a one-child replicate of it.
+void DeliverStragglers(SeaweedCluster& cluster, const NodeId& qid, int to) {
+  const overlay::NodeHandle from = cluster.pastry_node((to + 1) %
+      cluster.config().num_endsystems)->handle();
+  auto result = std::make_shared<const db::AggregateResult>();
+  auto submit = std::make_shared<SeaweedMessage>();
+  submit->kind = SeaweedMessage::Kind::kResultSubmit;
+  submit->query_id = qid;
+  submit->vertex_id = qid;
+  submit->child_key = from.id;
+  submit->version = 1;
+  submit->result = *result;
+  auto replicate = std::make_shared<SeaweedMessage>();
+  replicate->kind = SeaweedMessage::Kind::kVertexReplicate;
+  replicate->query_id = qid;
+  replicate->replicas.push_back({qid, {{from.id, 1, result}}});
+  SeaweedNode* node = cluster.seaweed_node(to);
+  node->OnAppMessage(from, /*routed=*/false, qid, submit);
+  node->OnAppMessage(from, /*routed=*/false, qid, replicate);
+}
+
+TEST(QueryLifecycleTest, TtlEndFreesStateAtTtl) {
+  const int n = 20;
+  SeaweedCluster cluster(Cfg(n), MakeData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(5 * kMinute);
+
+  const SimDuration ttl = 20 * kMinute;
+  const SimTime injected = cluster.sim().Now();
+  auto qid = cluster.InjectQuery(0, "SELECT COUNT(*) FROM Flow",
+                                 QueryObserver{}, ttl);
+  ASSERT_TRUE(qid.ok());
+  cluster.sim().RunUntil(injected + ttl);
+  int active = 0;
+  uint64_t vertices = 0;
+  for (int e = 0; e < n; ++e) {
+    if (cluster.seaweed_node(e)->HasActiveQuery(*qid)) ++active;
+    vertices += cluster.seaweed_node(e)->vertex_footprint().vertices;
+  }
+  EXPECT_GT(active, n / 2);
+  EXPECT_GT(vertices, 0u);
+  auto query_entries = [&cluster] {
+    cluster.PublishStatsGauges();
+    const obs::Gauge* g =
+        cluster.obs().metrics.FindGauge("mem.seaweed.query_entries");
+    return g == nullptr ? int64_t{-1} : g->value();
+  };
+  EXPECT_EQ(query_entries(), active);
+
+  // One second past the TTL, before any node's next 10-minute sweep (due
+  // 30 minutes after the joins), every node has let the query go.
+  cluster.sim().RunUntil(injected + ttl + kSecond);
+  for (int e = 0; e < n; ++e) {
+    SeaweedNode* node = cluster.seaweed_node(e);
+    EXPECT_FALSE(node->HasActiveQuery(*qid)) << "endsystem " << e;
+    EXPECT_EQ(node->vertex_footprint().vertices, 0u) << "endsystem " << e;
+    EXPECT_EQ(node->vertex_footprint().bytes, 0u) << "endsystem " << e;
+  }
+  EXPECT_EQ(query_entries(), 0);
+
+  // A straggling submit or replicate recreates nothing.
+  for (int e = 0; e < n; ++e) DeliverStragglers(cluster, *qid, e);
+  cluster.sim().RunUntil(cluster.sim().Now() + kMinute);
+  for (int e = 0; e < n; ++e) {
+    EXPECT_FALSE(cluster.seaweed_node(e)->HasActiveQuery(*qid))
+        << "endsystem " << e;
+  }
+}
+
+TEST(QueryLifecycleTest, ReplicateAfterCancelDoesNotReadopt) {
+  const int n = 16;
+  SeaweedCluster cluster(Cfg(n), MakeData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(5 * kMinute);
+  auto qid = cluster.InjectQuery(0, "SELECT COUNT(*) FROM Flow",
+                                 QueryObserver{});
+  ASSERT_TRUE(qid.ok());
+  cluster.sim().RunUntil(cluster.sim().Now() + 2 * kMinute);
+  cluster.seaweed_node(0)->CancelQuery(*qid);
+  cluster.sim().RunUntil(cluster.sim().Now() + 5 * kMinute);
+
+  for (int e = 0; e < n; ++e) {
+    ASSERT_FALSE(cluster.seaweed_node(e)->HasActiveQuery(*qid));
+    DeliverStragglers(cluster, *qid, e);
+    EXPECT_FALSE(cluster.seaweed_node(e)->HasActiveQuery(*qid))
+        << "endsystem " << e;
+  }
+  cluster.sim().RunUntil(cluster.sim().Now() + kMinute);
+  for (int e = 0; e < n; ++e) {
+    EXPECT_FALSE(cluster.seaweed_node(e)->HasActiveQuery(*qid))
+        << "endsystem " << e;
+  }
+}
+
+// A query id pinned by a salt names the same query when injected again:
+// once it has ended on the origin, a second injection is refused, not
+// started on a blank entry.
+TEST(QueryLifecycleTest, ReinjectingAnEndedQueryIsRefused) {
+  const int n = 12;
+  SeaweedCluster cluster(Cfg(n), MakeData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(5 * kMinute);
+  SeaweedNode* origin = cluster.seaweed_node(0);
+  const std::string sql = "SELECT COUNT(*) FROM Flow";
+  auto first = origin->InjectQuery(sql, QueryObserver{}, kHour, "pinned");
+  ASSERT_TRUE(first.ok());
+  cluster.sim().RunUntil(cluster.sim().Now() + kMinute);
+  origin->CancelQuery(*first);
+  auto again = origin->InjectQuery(sql, QueryObserver{}, kHour, "pinned");
+  EXPECT_EQ(again.status().code(), StatusCode::kFailedPrecondition)
+      << again.status().ToString();
+  EXPECT_FALSE(origin->HasActiveQuery(*first));
+
+  // A TTL already past is refused the same way.
+  auto expired = origin->InjectQuery(sql, QueryObserver{}, -kSecond, "late");
+  EXPECT_EQ(expired.status().code(), StatusCode::kFailedPrecondition)
+      << expired.status().ToString();
+  EXPECT_EQ(origin->active_query_count(), 0u);
+}
+
+// A TTL that ends after the run changes nothing within it: the same
+// results at the same times, the same events and the same bytes as the
+// default 48-hour TTL.
+TEST(QueryLifecycleTest, TtlBeyondRunChangesNothing) {
+  struct Run {
+    std::vector<std::tuple<SimTime, int64_t, int64_t>> results;
+    std::vector<SimTime> predictors;
+    uint64_t events = 0;
+    uint64_t tx_bytes = 0;
+  };
+  auto run = [](SimDuration ttl) {
+    const int n = 24;
+    SeaweedCluster cluster(Cfg(n), MakeData(n));
+    cluster.BringUpAll();
+    cluster.sim().RunUntil(5 * kMinute);
+    Run out;
+    QueryObserver obs;
+    obs.on_result = [&](const NodeId&, const db::AggregateResult& r) {
+      out.results.emplace_back(cluster.sim().Now(), r.rows_matched,
+                               r.endsystems);
+    };
+    obs.on_predictor = [&](const NodeId&, const CompletenessPredictor&) {
+      out.predictors.push_back(cluster.sim().Now());
+    };
+    const SimTime injected = cluster.sim().Now();
+    EXPECT_TRUE(cluster.InjectQuery(3, "SELECT COUNT(*) FROM Flow",
+                                    std::move(obs), ttl)
+                    .ok());
+    // Three refresh periods; the short TTL ends 5 minutes after the run.
+    cluster.sim().RunUntil(injected + 50 * kMinute);
+    out.events = cluster.sim().events_executed();
+    out.tx_bytes = cluster.meter().total_tx_bytes();
+    return out;
+  };
+  const Run long_ttl = run(48 * kHour);
+  const Run short_ttl = run(55 * kMinute);
+  EXPECT_FALSE(long_ttl.results.empty());
+  EXPECT_EQ(short_ttl.results, long_ttl.results);
+  EXPECT_EQ(short_ttl.predictors, long_ttl.predictors);
+  EXPECT_EQ(short_ttl.events, long_ttl.events);
+  EXPECT_EQ(short_ttl.tx_bytes, long_ttl.tx_bytes);
 }
 
 TEST(QueryLifecycleTest, ContinuousQueryTracksDataChanges) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "common/rng.h"
 #include "sim/bandwidth_meter.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
@@ -324,6 +328,65 @@ TEST(BandwidthMeterTest, HourlyRatesPerEndsystem) {
   ASSERT_EQ(rates.size(), 2u);
   EXPECT_DOUBLE_EQ(rates[0], 1.0);  // 3600 bytes over an hour = 1 B/s
   EXPECT_DOUBLE_EQ(rates[1], 0.0);
+}
+
+// The hour-major matrices answer exactly what per-endsystem counts would:
+// across hour boundaries, over an hour nobody sent in, for sends just before
+// t=0 (hour 0) and for dropped sends.
+TEST(BandwidthMeterTest, HourMajorCountsMatchPerEndsystemReference) {
+  const int n = 7;
+  BandwidthMeter meter(n);
+  std::map<std::pair<uint32_t, int64_t>, uint64_t> tx, rx;
+  Rng rng(11);
+  int64_t max_hour = -1;
+  for (int i = 0; i < 5000; ++i) {
+    const uint32_t e = static_cast<uint32_t>(rng.NextBelow(n));
+    // Hours 0-5 except 3, and now and then a send just before t=0.
+    int64_t hour = static_cast<int64_t>(rng.NextBelow(6));
+    if (hour == 3) hour = 4;
+    SimTime t = hour * kHour;
+    t += static_cast<SimTime>(rng.NextBelow(static_cast<uint64_t>(kHour)));
+    if (i % 500 == 0) t = -static_cast<SimTime>(rng.NextBelow(kSecond)) - 1;
+    const uint32_t bytes = static_cast<uint32_t>(rng.NextBelow(1500)) + 1;
+    const int64_t bucket = std::max<int64_t>(t / kHour, 0);
+    max_hour = std::max(max_hour, t / kHour);
+    switch (i % 3) {
+      case 0:
+        meter.RecordTx(e, TrafficCategory::kPastry, t, bytes);
+        tx[{e, bucket}] += bytes;
+        break;
+      case 1:
+        meter.RecordRx(e, TrafficCategory::kResult, t, bytes);
+        rx[{e, bucket}] += bytes;
+        break;
+      default:
+        meter.RecordTxDropped(e, t, bytes);
+        tx[{e, bucket}] += bytes;
+        break;
+    }
+  }
+  auto at = [](const auto& m, uint32_t e, int64_t h) -> uint64_t {
+    auto it = m.find({e, h});
+    return it == m.end() ? 0 : it->second;
+  };
+  EXPECT_EQ(meter.MaxHour(), max_hour);
+  for (uint32_t e = 0; e < static_cast<uint32_t>(n); ++e) {
+    for (int64_t h = -1; h <= 7; ++h) {
+      EXPECT_EQ(meter.TxInHour(e, h), at(tx, e, h)) << e << "@" << h;
+      EXPECT_EQ(meter.RxInHour(e, h), at(rx, e, h)) << e << "@" << h;
+    }
+  }
+  const std::vector<double> tx_rates = meter.HourlyTxRates(1, 6);
+  const std::vector<double> rx_rates = meter.HourlyRxRates(1, 6);
+  ASSERT_EQ(tx_rates.size(), static_cast<size_t>(n) * 6);
+  ASSERT_EQ(rx_rates.size(), tx_rates.size());
+  size_t i = 0;
+  for (uint32_t e = 0; e < static_cast<uint32_t>(n); ++e) {
+    for (int64_t h = 1; h <= 6; ++h, ++i) {
+      EXPECT_DOUBLE_EQ(tx_rates[i], static_cast<double>(at(tx, e, h)) / 3600);
+      EXPECT_DOUBLE_EQ(rx_rates[i], static_cast<double>(at(rx, e, h)) / 3600);
+    }
+  }
 }
 
 TEST(PercentileTest, BasicPercentiles) {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <set>
 #include <vector>
 
@@ -83,6 +85,41 @@ TEST(VertexArenaTest, IteratesInInsertionOrder) {
   for (Arena::Slot s = 0; s < arena.size(); ++s) {
     EXPECT_EQ(arena.id(s), ids[s]);
   }
+}
+
+// PoolVector against std::vector: inserts anywhere, growth from the pool,
+// a move that leaves the source empty, and destruction that releases every
+// element (here, its share of a shared result) but not the pool's storage.
+TEST(PoolVectorTest, MatchesVectorAndReleasesElements) {
+  std::pmr::monotonic_buffer_resource pool(64);
+  auto shared = std::make_shared<int>(7);
+  std::vector<std::pair<int, std::shared_ptr<int>>> reference;
+  {
+    PoolVector<std::pair<int, std::shared_ptr<int>>> v;
+    Rng rng(3);
+    for (int i = 0; i < 40; ++i) {
+      const size_t at = static_cast<size_t>(rng.NextBelow(v.size() + 1));
+      auto* got = v.insert(&pool, v.begin() + at, {i, shared});
+      reference.insert(reference.begin() + static_cast<ptrdiff_t>(at),
+                       {i, shared});
+      EXPECT_EQ(got, v.begin() + at);
+      EXPECT_EQ(got->first, i);
+      ASSERT_EQ(v.size(), reference.size());
+      EXPECT_GE(v.capacity(), v.size());
+      EXPECT_EQ(std::bit_ceil(v.capacity()), v.capacity());
+    }
+    v.push_back(&pool, {99, shared});
+    reference.push_back({99, shared});
+    EXPECT_TRUE(std::equal(v.begin(), v.end(), reference.begin(),
+                           reference.end()));
+    EXPECT_EQ(v.front().first, reference.front().first);
+
+    PoolVector<std::pair<int, std::shared_ptr<int>>> moved(std::move(v));
+    EXPECT_TRUE(v.empty());
+    EXPECT_EQ(moved.size(), reference.size());
+    EXPECT_EQ(shared.use_count(), 1 + 2 * static_cast<long>(reference.size()));
+  }
+  EXPECT_EQ(shared.use_count(), 1 + static_cast<long>(reference.size()));
 }
 
 TEST(VertexArenaTest, FootprintCountsChunksAndIndex) {

@@ -396,6 +396,7 @@ void PrintResultPlane(const Dump& d) {
                 static_cast<double>(bytes) / static_cast<double>(msgs));
   }
   const std::pair<const char*, const char*> kVertexGauges[] = {
+      {"mem.seaweed.query_entries", "query entries held"},
       {"mem.seaweed.vertices", "vertex entries held"},
       {"mem.seaweed.vertex_bytes", "vertex state bytes"},
   };
