@@ -75,8 +75,12 @@ struct SeaweedConfig {
   // arms it, and updates arriving meanwhile join the same pass. The pass
   // folds every dirty vertex, and the locally owned ancestors they feed, in
   // one step, so a result pays this once per network hop, not once per
-  // vertex level.
-  SimDuration result_deliver_debounce = 2 * kSecond;
+  // vertex level. With ~3 hops to the root this wait is most of
+  // time-to-result: 2 s put churn_5k's tt90 p50 at 7.0 s, 0.5 s puts it at
+  // 2.4 s for +0.1% of query bytes. Shorter costs real bytes under GROUP BY
+  // load (0.25 s: +5%, 0.1 s: +16% on query_mix); BENCH_fold_spacing.json
+  // has the grid. seaweedd's fast profile sets its own 200 ms.
+  SimDuration result_deliver_debounce = 500 * kMillisecond;
   // A query's state ends on its own refresh timer at its TTL (see
   // ArmRefresh). This sweep only prunes the tombstones that outlive it and
   // the handover-loop memory; a TTL tombstone lasts one such period.

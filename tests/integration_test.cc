@@ -105,10 +105,10 @@ TEST(IntegrationTest, AllUpQueryReturnsExactResult) {
   EXPECT_EQ(cap.latest()->endsystems, n);
 }
 
-// A result pays result_deliver_debounce once per network hop, not once per
-// vertex-id level of the chain folded on the root's node: per level, this
-// cluster's first complete result takes ~65 s (2 s x ~26 levels + hops).
-TEST(IntegrationTest, CompleteResultArrivesWithinTenSeconds) {
+// The 120-endsystem, seed-7 cluster's whole-table query: the simulated time
+// from injection to the first result that covers every endsystem, which
+// must equal the ground truth (the same SQL on every endsystem, merged).
+void TimeToCompleteResult(SimDuration* elapsed) {
   const int n = 120;
   const std::string sql = "SELECT COUNT(*), SUM(Bytes) FROM Flow";
   SeaweedCluster cluster(
@@ -117,7 +117,6 @@ TEST(IntegrationTest, CompleteResultArrivesWithinTenSeconds) {
   cluster.sim().RunUntil(5 * kMinute);
   ASSERT_EQ(cluster.CountJoined(), n);
 
-  // Ground truth: the same SQL on every endsystem's data, merged.
   auto parsed = db::ParseSelect(sql);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   db::AggregateResult truth;
@@ -142,8 +141,27 @@ TEST(IntegrationTest, CompleteResultArrivesWithinTenSeconds) {
     }
   }
   ASSERT_NE(complete, nullptr) << "no result covered every endsystem";
-  EXPECT_LE(complete->first - inject_at, 10 * kSecond);
   EXPECT_EQ(complete->second, truth);
+  *elapsed = complete->first - inject_at;
+}
+
+// A result pays one fold-pass spacing (result_deliver_debounce) per network
+// hop, not one per vertex-id level of the chain folded on the root's node:
+// per level, with 2 s spacing, this cluster's first complete result took
+// ~65 s (2 s x ~26 levels + hops).
+TEST(IntegrationTest, CompleteResultArrivesWithinTenSeconds) {
+  SimDuration elapsed = 0;
+  ASSERT_NO_FATAL_FAILURE(TimeToCompleteResult(&elapsed));
+  EXPECT_LE(elapsed, 10 * kSecond);
+}
+
+// Most of the time above is the spacing itself, paid at each of ~3 hops to
+// the root: the same result arrives 4.63 s after injection with 2 s spacing
+// and 1.63 s after it with 0.5 s, so this bound fails at 2 s.
+TEST(IntegrationTest, CompleteResultArrivesWithinTwoAndAHalfSeconds) {
+  SimDuration elapsed = 0;
+  ASSERT_NO_FATAL_FAILURE(TimeToCompleteResult(&elapsed));
+  EXPECT_LE(elapsed, 2500 * kMillisecond);
 }
 
 TEST(IntegrationTest, PredictorLatencyIsSeconds) {

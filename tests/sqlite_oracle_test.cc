@@ -13,23 +13,31 @@
 //      items min/max equal its MIN/MAX, and sum equals its SUM on int64
 //      columns (SQLite's own arithmetic);
 //  (c) rows_matched and CountMatching equal SQLite's COUNT(*);
-//  (d) the query binds, and its ToString() re-parses to the same answer.
+//  (d) the query binds, and its ToString() re-parses to the same answer;
+//  (e) each sketch's answer, whole-table and per group, lies within its
+//      function's declared error bound (AggDescriptor::error_bound) of
+//      SQLite's exact answer.
 // Its WHERE also runs as SELECT * through ExecuteSelect, whole and under a
 // LIMIT, against SQLite's rows.
 #include <sqlite3.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "db/aggregate.h"
 #include "db/query_exec.h"
+#include "db/sketch.h"
 #include "db/sql_parser.h"
 
 namespace seaweed::db {
@@ -418,6 +426,129 @@ void ExpectStats(const AggState& state, const Row& row, size_t first,
   return ::testing::AssertionSuccess();
 }
 
+// Check (e). The bounds are the ones each function declares in its
+// AggDescriptor::error_bound:
+//  * DISTINCT_APPROX: HyperLogLog's standard error, 1.04/sqrt(registers)
+//    = 1.6%. The check allows 4 of them, plus 1 for a single hash
+//    collision, which at a few distinct values is many standard errors.
+//    The "<=2% typical" is no per-answer bound: over 400 random sets each
+//    of 10 to 10^5 distinct values, 1-26% of the estimates missed by more;
+//  * QUANTILE(col, q): rank error <= 1%, i.e. the answer's rank range in
+//    the exact sorted input comes within 1% of the rows of q * rows;
+//  * TOPK(col, k): each reported count under-estimates the key's exact
+//    count by at most rows/capacity, and no key left out outnumbers the
+//    k-th reported count by more than that.
+const double kDistinctStdError =
+    1.04 / std::sqrt(static_cast<double>(HllSketch::kRegisters));
+constexpr double kQuantileRankError = 0.01;
+
+// Sketch keys are doubles for numeric columns; SQLite's are int64 or
+// double. Both render through the same double here.
+std::string KeyOf(const Value& v) {
+  if (v.is_string()) return "s:" + v.AsString();
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", *v.ToNumeric());
+  return buf;
+}
+
+// One group's exact input to a sketch item, from SQLite: the item's
+// column values in ascending order, and the count of each value.
+struct ExactInput {
+  std::vector<double> sorted;  // numeric columns only
+  std::map<std::string, int64_t> counts;
+  int64_t rows = 0;
+};
+
+void CheckSketchState(const SelectItem& item, const AggState& state,
+                      const ExactInput& exact) {
+  if (item.func->name() == "DISTINCT_APPROX") {
+    auto v = item.func->Finalize(state);
+    ASSERT_TRUE(v.ok()) << v.status();
+    const double got = static_cast<double>(v->AsInt64());
+    const double want = static_cast<double>(exact.counts.size());
+    EXPECT_LE(std::abs(got - want), 4 * kDistinctStdError * want + 1)
+        << "distinct " << got << ", sqlite " << want;
+  } else if (item.func->name() == "QUANTILE") {
+    if (exact.rows == 0) return;  // NULL: checked by (a)
+    const double q = item.EffectiveParam();
+    auto v = item.func->Finalize(state, q);
+    ASSERT_TRUE(v.ok()) << v.status();
+    const double got = v->AsDouble();
+    const double n = static_cast<double>(exact.rows);
+    const auto below = static_cast<double>(
+        std::lower_bound(exact.sorted.begin(), exact.sorted.end(), got) -
+        exact.sorted.begin());
+    const auto at_or_below = static_cast<double>(
+        std::upper_bound(exact.sorted.begin(), exact.sorted.end(), got) -
+        exact.sorted.begin());
+    EXPECT_LE(below, q * n + kQuantileRankError * n)
+        << "quantile " << q << " = " << got << " over " << n << " rows";
+    EXPECT_GE(at_or_below, q * n - kQuantileRankError * n)
+        << "quantile " << q << " = " << got << " over " << n << " rows";
+  } else if (item.func->name() == "TOPK") {
+    if (exact.rows == 0) return;
+    const auto& sketch = static_cast<const TopKSketch&>(*state.sketch);
+    const auto k = static_cast<size_t>(item.EffectiveParam());
+    const double slack = static_cast<double>(exact.rows) /
+                         static_cast<double>(sketch.capacity());
+    const auto top = sketch.Top(k);
+    std::set<std::string> reported;
+    for (const auto& [key, count] : top) {
+      const auto it = exact.counts.find(KeyOf(key));
+      ASSERT_NE(it, exact.counts.end()) << "topk key " << key.ToString();
+      EXPECT_LE(count, it->second) << "topk key " << key.ToString();
+      EXPECT_LE(static_cast<double>(it->second - count), slack)
+          << "topk key " << key.ToString();
+      reported.insert(it->first);
+    }
+    // With fewer than k reported, every surviving key was reported.
+    const double kth = top.size() < k
+                           ? 0.0
+                           : static_cast<double>(top.back().second);
+    for (const auto& [key, count] : exact.counts) {
+      if (reported.count(key) == 0) {
+        EXPECT_LE(static_cast<double>(count), kth + slack)
+            << "topk left out " << key << " (" << count << " rows)";
+      }
+    }
+  } else {
+    ADD_FAILURE() << "no exact check for sketch " << item.func->name();
+  }
+}
+
+void CheckSketchesAgainstTruth(const OracleTable& t, const SelectQuery& q,
+                               const std::string& filter,
+                               const AggregateResult& batch) {
+  const std::string& group = q.group_by;
+  for (size_t i = 0; i < q.items.size(); ++i) {
+    const SelectItem& item = q.items[i];
+    if (!item.is_aggregate || !item.func->IsSketch()) continue;
+    SCOPED_TRACE(item.func->name() + "(" + item.column + ")");
+    const std::string cols =
+        group.empty() ? item.column : group + ", " + item.column;
+    ExactInput whole;
+    std::map<std::string, ExactInput> per_group;
+    for (const Row& row : Select(t.sqlite.get(), "SELECT " + cols +
+                                                     " FROM t" + filter +
+                                                     " ORDER BY " + cols)) {
+      const Value& v = *row.back();
+      auto add = [&v](ExactInput& in) {
+        ++in.rows;
+        ++in.counts[KeyOf(v)];
+        if (!v.is_string()) in.sorted.push_back(*v.ToNumeric());
+      };
+      add(whole);
+      if (!group.empty()) add(per_group[row[0]->ToString()]);
+    }
+    std::sort(whole.sorted.begin(), whole.sorted.end());
+    CheckSketchState(item, batch.states[i], whole);
+    for (const auto& [key, states] : batch.groups) {
+      SCOPED_TRACE("group " + key.ToString());
+      CheckSketchState(item, states[i], per_group[key.ToString()]);
+    }
+  }
+}
+
 void CheckQuery(const OracleTable& t, const std::string& sql) {
   SCOPED_TRACE(sql);
   sqlite3* db = t.sqlite.get();
@@ -469,6 +600,9 @@ void CheckQuery(const OracleTable& t, const std::string& sql) {
       ExpectStats(states[i], per_group[g], 1, numeric, int_column);
     }
   }
+
+  // (e) Sketches against SQLite's exact answers.
+  CheckSketchesAgainstTruth(t, *q, filter, *batch);
 
   // (c) Matched-row counts.
   const Rows count = Select(db, "SELECT COUNT(*) FROM t" + filter);

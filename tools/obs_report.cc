@@ -368,8 +368,9 @@ void PrintPipeline(const Dump& d) {
   std::printf("  %-36s %12" PRIu64 "\n", "queries load-shed", shed);
 }
 
-// Result plane: vertex updates, the fold passes that propagate them (one
-// per query and node per debounce; a pass folds the locally owned chain of
+// Result plane: vertex updates, the fold passes that propagate them (at
+// most one per query and node per result_deliver_debounce, 0.5 s in the
+// simulator and 200 ms in seaweedd; a pass folds the locally owned chain of
 // vertex-id levels in one step), and what goes to the vertex backups: one
 // kVertexReplicate per backup per pass, plus one per backup for each
 // remote submit that arrives between passes. Then the vertex state the

@@ -136,6 +136,10 @@ void ApplyProfile(const std::string& profile, net::LiveConfig* cfg) {
   cfg->seaweed.summary_push_period = 30 * kSecond;
   cfg->seaweed.result_refresh_period = 15 * kSecond;
   cfg->seaweed.dissem_refresh_period = 3 * kSecond;
+  // Shorter than the simulator's 500 ms, like every timer here: a loopback
+  // answer takes ~0.4 s, a few fold passes. Changing it moves the live
+  // numbers (bytes per wall-clock second among them), so it is measured on
+  // its own; BENCH_fold_spacing.json has the variants tried.
   cfg->seaweed.result_deliver_debounce = 200 * kMillisecond;
   cfg->seaweed.query_sweep_period = kMinute;
 }
